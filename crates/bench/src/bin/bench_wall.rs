@@ -13,6 +13,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
+use boxes_bench::report::write_bench_json;
 use boxes_bench::Scale;
 use boxes_core::pager::{BlockId, Pager, PagerConfig, SharedPager};
 use boxes_core::wal::{Wal, WalConfig};
@@ -195,7 +196,7 @@ fn main() {
     }
     json.push_str("]}\n");
     let path = Path::new("target/BENCH_wall.json");
-    match std::fs::write(path, &json) {
+    match write_bench_json(path, &json) {
         Ok(()) => println!("wrote {} ({} bytes)", path.display(), json.len()),
         Err(e) => {
             eprintln!("failed to write {}: {e}", path.display());

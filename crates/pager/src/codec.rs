@@ -17,39 +17,64 @@
 
 use std::fmt;
 
+/// Slicing-by-8 lookup tables: `CRC_TABLES[k][i]` is the CRC register after
+/// feeding byte `i` followed by `k` zero bytes, i.e. `8 * (k + 1)` bit steps
+/// of the reflected polynomial starting from `i`. Table 0 is the classic
+/// bytewise table.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    // `seed` mirrors `i` in u32 so the const block needs no cast.
+    let mut seed = 0u32;
+    while i < 256 {
+        let mut crc = seed;
+        let mut bit = 0;
+        while bit < 64 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+            if bit % 8 == 0 {
+                tables[bit / 8 - 1][i] = crc;
+            }
+        }
+        i += 1;
+        seed += 1;
+    }
+    tables
+};
+
 /// CRC-32 (IEEE 802.3, polynomial `0xEDB88320`), hand-rolled so the
 /// workspace stays dependency-free. Used for the per-block trailers of the
 /// file backend, the in-memory page checksums, and the WAL record
 /// checksums — one shared definition so a page written by the pager and
 /// replayed by the WAL verifies identically.
+///
+/// Slicing-by-8: each step folds eight input bytes through eight lookup
+/// tables at once instead of one byte through one table, about four times
+/// faster than the bytewise loop with bit-identical output. A tail shorter
+/// than eight bytes falls back to the bytewise step.
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        // `seed` mirrors `i` in u32 so the const block needs no cast.
-        let mut seed = 0u32;
-        while i < 256 {
-            let mut crc = seed;
-            let mut bit = 0;
-            while bit < 8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-                bit += 1;
-            }
-            table[i] = crc;
-            i += 1;
-            seed += 1;
-        }
-        table
-    };
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
+    let (chunks, tail) = data.as_chunks::<8>();
     let mut crc = !0u32;
-    for &byte in data {
-        let idx = u32_to_usize((crc ^ u32::from(byte)) & 0xFF);
-        crc = (crc >> 8) ^ TABLE[idx];
+    for &[b0, b1, b2, b3, b4, b5, b6, b7] in chunks {
+        let [c0, c1, c2, c3] = (crc ^ u32::from_le_bytes([b0, b1, b2, b3])).to_le_bytes();
+        crc = t7[usize::from(c0)]
+            ^ t6[usize::from(c1)]
+            ^ t5[usize::from(c2)]
+            ^ t4[usize::from(c3)]
+            ^ t3[usize::from(b4)]
+            ^ t2[usize::from(b5)]
+            ^ t1[usize::from(b6)]
+            ^ t0[usize::from(b7)];
+    }
+    for &byte in tail {
+        let [low, ..] = crc.to_le_bytes();
+        crc = (crc >> 8) ^ t0[usize::from(low ^ byte)];
     }
     !crc
 }
@@ -381,6 +406,42 @@ mod tests {
         let mut torn = [0u8; 64];
         torn[63] = 1;
         assert_ne!(a, crc32(&torn));
+    }
+
+    /// The plain bytewise table loop the slicing-by-8 version replaced.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &byte in data {
+            let [low, ..] = crc.to_le_bytes();
+            crc = (crc >> 8) ^ CRC_TABLES[0][usize::from(low ^ byte)];
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_reference() {
+        // Deterministic pseudo-random bytes, with room for 8 start offsets
+        // past the longest length checked.
+        let mut state = 0x9E37_79B9u32;
+        let buf: Vec<u8> = (0..8193 + 8)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 17;
+                state ^= state << 5;
+                state.to_le_bytes()[0]
+            })
+            .collect();
+        for start in 0..8 {
+            for len in (0..=64).chain(8191..=8193) {
+                let slice = &buf[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]

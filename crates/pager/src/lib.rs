@@ -836,13 +836,19 @@ impl Pager {
     }
 
     /// Reconstruct a pager from a crash-recovered [`DiskImage`] and the
-    /// committed free list. Checksums are recomputed from the (already
-    /// repaired) data; the pager starts unjournaled with zeroed counters.
+    /// committed free list; the pager starts unjournaled with zeroed
+    /// counters. Every block's stored checksum must match its data (the
+    /// WAL's `recover` checks or computes each one): the frames keep those
+    /// checksums and start verified, so nothing is hashed again here.
     pub fn from_image(image: DiskImage, free: Vec<u32>) -> SharedPager {
+        debug_assert!(
+            image.blocks.iter().flatten().all(DiskBlock::intact),
+            "from_image: a block's stored checksum does not match its data"
+        );
         let blocks = image
             .blocks
             .into_iter()
-            .map(|slot| slot.map(|b| b.data))
+            .map(|slot| slot.map(|b| (b.data, b.crc)))
             .collect();
         let table: TableRef = Arc::new(PageTable::from_blocks(blocks));
         Arc::new(Pager {

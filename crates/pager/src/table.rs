@@ -7,9 +7,17 @@
 //! frames and frozen snapshot versions now live in [`SHARD_COUNT`] shards,
 //! each guarded by its own small mutex, with an `RwLock` latch per frame on
 //! top. Snapshot readers resolve a pinned-epoch read entirely inside one
-//! shard — version lookup, frame latch, checksum verify — without ever
-//! touching the coordinator, so readers over disjoint blocks (and even the
-//! same shard, via shared read latches) no longer contend with each other.
+//! shard — version lookup, frame latch, block copy — without ever touching
+//! the coordinator, so readers over disjoint blocks (and even the same
+//! shard, via shared read latches) no longer contend with each other.
+//!
+//! Checksums are verified once per frame version, not once per read. The
+//! pager hashed every frame it wrote itself, so a frame is born *verified*
+//! and reads copy it without re-hashing. Only the fault primitives
+//! ([`PageTable::write_torn`], [`PageTable::corrupt`]) change a frame's
+//! bytes behind its checksum; they clear the flag, and every later read of
+//! that frame hashes again until a fresh write replaces it — so torn pages
+//! and bit rot are still detected and read-repaired.
 //!
 //! Lock hierarchy (registered in the BX015 lock-order graph):
 //!
@@ -47,8 +55,9 @@ pub(crate) type FrameRef = Arc<Frame>;
 /// pager's version store are the same object).
 pub(crate) type TableRef = Arc<PageTable>;
 
-/// One in-memory block plus its page checksum. The checksum is recomputed
-/// on every write and verified on every read, so a torn page (a crash that
+/// One in-memory block plus its page checksum. The checksum is computed on
+/// every write, which also marks the frame verified; reads hash only a frame
+/// whose flag a fault primitive cleared, so a torn page (a crash that
 /// persisted only a prefix of a block) is *detected*, never silently
 /// decoded.
 pub(crate) struct FrameBody {
@@ -56,6 +65,9 @@ pub(crate) struct FrameBody {
     pub(crate) data: Box<[u8]>,
     /// Stored checksum — deliberately left stale by torn writes and bit rot.
     pub(crate) crc: u32,
+    /// Whether `crc` is known to match `data`: set by every checksummed
+    /// write, cleared by the torn-write and bit-rot primitives.
+    verified: bool,
 }
 
 impl FrameBody {
@@ -65,7 +77,17 @@ impl FrameBody {
 
     fn fresh(data: Box<[u8]>) -> Self {
         let crc = codec::crc32(&data);
-        Self { data, crc }
+        Self {
+            data,
+            crc,
+            verified: true,
+        }
+    }
+
+    /// Whether the stored checksum matches the bytes; hashes only when a
+    /// fault primitive has touched the frame since its last write.
+    fn intact(&self) -> bool {
+        self.verified || codec::crc32(&self.data) == self.crc
     }
 }
 
@@ -199,19 +221,26 @@ impl PageTable {
         }
     }
 
-    /// Rebuild a table from recovered disk-image slots; checksums are
-    /// recomputed from the (already repaired) data.
-    pub(crate) fn from_blocks(blocks: Vec<Option<Box<[u8]>>>) -> PageTable {
+    /// Rebuild a table from recovered disk-image slots of `(data, crc)`.
+    /// The caller vouches that every stored checksum matches its data
+    /// (recovery has checked or computed each one), so the frames are
+    /// installed verified without hashing again.
+    pub(crate) fn from_blocks(blocks: Vec<Option<(Box<[u8]>, u32)>>) -> PageTable {
         let table = PageTable::new();
         table.len.store(blocks.len(), Ordering::SeqCst);
         for (idx, slot) in blocks.into_iter().enumerate() {
-            let Some(data) = slot else { continue };
+            let Some((data, crc)) = slot else { continue };
             let Ok(raw) = codec::usize_to_u32(idx) else {
                 continue;
             };
             let shard: &Shard = table.shard(raw);
             let mut state = shard.state_guard();
-            state.frames.insert(raw, Frame::new(FrameBody::fresh(data)));
+            let body = FrameBody {
+                data,
+                crc,
+                verified: true,
+            };
+            state.frames.insert(raw, Frame::new(body));
         }
         table
     }
@@ -272,6 +301,7 @@ impl PageTable {
 
     /// Read block `raw`, classifying failures exactly like the old memory
     /// backend: missing frame → `Unallocated`, stale checksum → `Checksum`.
+    /// Hashes only a frame a fault primitive left unverified.
     pub(crate) fn try_read(&self, raw: u32) -> Result<Box<[u8]>, ReadFailure> {
         let shard: &Shard = self.shard(raw);
         let state = shard.state_guard();
@@ -281,7 +311,7 @@ impl PageTable {
         let frame: FrameRef = FrameRef::clone(entry);
         let body = frame.read_latch();
         drop(state);
-        if codec::crc32(&body.data) != body.crc {
+        if !body.intact() {
             return Err(ReadFailure::Checksum);
         }
         Ok(body.data.clone())
@@ -302,8 +332,9 @@ impl PageTable {
 
     /// Persist only the first `n` bytes of `data` into block `raw`, leaving
     /// the rest of the block and its stored checksum stale — the torn-write
-    /// fault model. Returns `false` when the slot is unallocated (the
-    /// caller owns the contract panic).
+    /// fault model. Clears the verified flag so reads hash the frame again.
+    /// Returns `false` when the slot is unallocated (the caller owns the
+    /// contract panic).
     pub(crate) fn write_torn(&self, raw: u32, data: &[u8], n: usize) -> bool {
         let shard: &Shard = self.shard(raw);
         let state = shard.state_guard();
@@ -315,11 +346,13 @@ impl PageTable {
         drop(state);
         let n = n.min(data.len()).min(body.data.len());
         body.data[..n].copy_from_slice(&data[..n]);
+        body.verified = false;
         true
     }
 
     /// Flip `mask` into the stored byte at `offset`, leaving the stored
-    /// checksum stale — the media-corruption (bit rot) primitive.
+    /// checksum stale — the media-corruption (bit rot) primitive. Clears
+    /// the verified flag so reads hash the frame again.
     pub(crate) fn corrupt(&self, raw: u32, offset: usize, mask: u8) {
         let shard: &Shard = self.shard(raw);
         let state = shard.state_guard();
@@ -331,6 +364,7 @@ impl PageTable {
         drop(state);
         if let Some(byte) = body.data.get_mut(offset) {
             *byte ^= mask;
+            body.verified = false;
         }
     }
 
@@ -391,7 +425,7 @@ impl PageTable {
         let frame: FrameRef = FrameRef::clone(entry);
         let data = {
             let body = frame.read_latch();
-            if codec::crc32(&body.data) != body.crc {
+            if !body.intact() {
                 return;
             }
             body.data.clone()
@@ -446,7 +480,7 @@ impl PageTable {
         let frame: FrameRef = FrameRef::clone(entry);
         let body = frame.read_latch();
         drop(state);
-        if codec::crc32(&body.data) != body.crc {
+        if !body.intact() {
             return None;
         }
         Some(body.data.clone())
@@ -540,6 +574,80 @@ mod tests {
         assert!(t.write_torn(0, &[0xFFu8; 32], 5));
         assert!(matches!(t.try_read(0), Err(ReadFailure::Checksum)));
         assert!(!t.write_torn(99, &[0u8; 4], 2));
+    }
+
+    /// Whether block `raw`'s frame is currently marked verified.
+    fn verified(t: &PageTable, raw: u32) -> bool {
+        let state = t.shard(raw).state_guard();
+        let body = state.frames[&raw].read_latch();
+        body.verified
+    }
+
+    #[test]
+    fn corrupt_unverifies_until_the_next_write() {
+        let t = PageTable::new();
+        t.push_zeroed(32);
+        t.write(0, vec![1u8; 32].into_boxed_slice());
+        assert!(verified(&t, 0), "a checksummed write verifies the frame");
+        t.freeze_image(0, 1);
+        t.corrupt(0, 7, 0x04);
+        assert!(!verified(&t, 0));
+        assert!(matches!(t.try_read(0), Err(ReadFailure::Checksum)));
+        assert!(t.snapshot_read(0, 2).is_none());
+        // A corrupt live image is not frozen for later epochs.
+        t.freeze_image(0, 2);
+        assert!(!t.newest_version_covers(0, 2));
+        // The frozen pre-image is untouched by the rot.
+        assert_eq!(&t.snapshot_read(0, 1).unwrap()[..], &[1u8; 32][..]);
+        t.write(0, vec![3u8; 32].into_boxed_slice());
+        assert!(verified(&t, 0));
+        assert_eq!(&t.try_read(0).ok().unwrap()[..], &[3u8; 32][..]);
+        assert_eq!(&t.snapshot_read(0, 2).unwrap()[..], &[3u8; 32][..]);
+    }
+
+    #[test]
+    fn torn_write_unverifies_until_the_next_write() {
+        let t = PageTable::new();
+        t.push_zeroed(32);
+        assert!(verified(&t, 0), "push_zeroed verifies the frame");
+        assert!(t.write_torn(0, &[0xFFu8; 32], 5));
+        assert!(!verified(&t, 0));
+        assert!(matches!(t.try_read(0), Err(ReadFailure::Checksum)));
+        assert!(t.snapshot_read(0, 1).is_none());
+        t.freeze_image(0, 1);
+        assert!(t.versions_empty(), "a torn image is never frozen");
+        t.write(0, vec![6u8; 32].into_boxed_slice());
+        assert!(verified(&t, 0));
+        assert_eq!(&t.try_read(0).ok().unwrap()[..], &[6u8; 32][..]);
+        assert_eq!(&t.snapshot_read(0, 1).unwrap()[..], &[6u8; 32][..]);
+    }
+
+    #[test]
+    fn verified_reads_trust_the_flag_not_the_bytes() {
+        // Rewrite a verified frame's bytes behind both primitives' backs:
+        // reads must not notice, which proves they skip the hash.
+        let t = PageTable::new();
+        t.push_zeroed(16);
+        t.write(0, vec![4u8; 16].into_boxed_slice());
+        {
+            let state = t.shard(0).state_guard();
+            state.frames[&0].write_latch().data[0] = 9;
+        }
+        assert_eq!(t.try_read(0).ok().unwrap()[0], 9);
+        assert_eq!(t.snapshot_read(0, 1).unwrap()[0], 9);
+    }
+
+    #[test]
+    fn from_blocks_installs_verified_frames() {
+        let data = vec![8u8; 16].into_boxed_slice();
+        let crc = codec::crc32(&data);
+        let t = PageTable::from_blocks(vec![None, Some((data, crc))]);
+        assert_eq!(t.len(), 2);
+        assert!(!t.is_allocated(0));
+        assert!(verified(&t, 1));
+        assert_eq!(&t.try_read(1).ok().unwrap()[..], &[8u8; 16][..]);
+        t.reuse_zeroed(0, 16);
+        assert!(verified(&t, 0), "reuse_zeroed verifies the frame");
     }
 
     #[test]

@@ -116,6 +116,42 @@ mod tests {
         }
     }
 
+    /// Persist only the first half of `fill` over the image's copy of `id`,
+    /// leaving its stored checksum stale: a torn page on the disk.
+    fn tear(image: &mut boxes_pager::DiskImage, id: BlockId, fill: u8) {
+        let block = image.blocks[id.index()].as_mut().expect("allocated");
+        block.data[..BS / 2].fill(fill);
+        assert!(!block.intact());
+    }
+
+    #[test]
+    fn torn_block_the_log_never_rewrites_fails_recovery() {
+        // Written before the journal was attached: no record carries it.
+        let pager = Pager::new(PagerConfig::with_block_size(BS));
+        let outside = pager.alloc();
+        pager.write(outside, &[0x5A; BS]);
+        let wal = Wal::new(BS, WalConfig::default());
+        pager.attach_journal(wal.clone());
+        run_ops(&pager, 2);
+        let mut image = pager.disk_image();
+        tear(&mut image, outside, 0xEE);
+        match recover(&wal.durable_bytes(), image) {
+            Err(WalError::TornPage(id)) => assert_eq!(id, outside),
+            Ok(_) => panic!("a torn page with no redo must not recover"),
+            Err(other) => panic!("expected TornPage, got {other}"),
+        }
+    }
+
+    #[test]
+    fn torn_block_the_log_rewrites_is_repaired_by_redo() {
+        let (pager, wal) = journaled_pager(WalConfig::default());
+        let ids = run_ops(&pager, 3);
+        let mut image = pager.disk_image();
+        tear(&mut image, ids[1], 0xEE);
+        let recovered = recover(&wal.durable_bytes(), image).expect("redo repairs the tear");
+        assert_eq!(&recovered.pager.read(ids[1])[..], &[2u8; BS][..]);
+    }
+
     #[test]
     fn explicit_barriers_are_counted_separately_from_syncs() {
         let (pager, wal) = journaled_pager(WalConfig {

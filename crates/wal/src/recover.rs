@@ -14,9 +14,12 @@
 //! 3. reshapes the image to the committed allocator state (`"pager"` meta):
 //!    truncates blocks past the committed length (eager allocations of the
 //!    crashed operation) and clears committed holes;
-//! 4. verifies every surviving block's checksum — a torn page must have been
-//!    repaired by some committed record's redo; one that was not is external
-//!    corruption and fails recovery with [`WalError::TornPage`].
+//! 4. verifies the checksum of every surviving block the log did not
+//!    rewrite — a torn page must have been repaired by some committed
+//!    record's redo; one that was not is external corruption and fails
+//!    recovery with [`WalError::TornPage`]. Redone blocks came from
+//!    checksum-verified log records, so each is hashed exactly once, to
+//!    give its frame a checksum.
 
 use std::collections::BTreeMap;
 
@@ -59,6 +62,9 @@ pub fn recover(log: &[u8], mut image: DiskImage) -> Result<Recovered, WalError> 
     let mut commits = 0u64;
     let mut records = 0u64;
     let mut rolled_back_tail = false;
+    // Latest redo after-image per slot, kept apart from the image so a
+    // block rewritten by many records is hashed once, after the scan.
+    let mut redo: BTreeMap<usize, Box<[u8]>> = BTreeMap::new();
     let mut pos = 0usize;
     loop {
         match frame::decode_at(log, pos, block_size)? {
@@ -81,14 +87,11 @@ pub fn recover(log: &[u8], mut image: DiskImage) -> Result<Recovered, WalError> 
                     if image.blocks.len() <= idx {
                         image.blocks.resize_with(idx + 1, || None);
                     }
-                    let crc = codec::crc32(&frame.after);
-                    image.blocks[idx] = Some(DiskBlock {
-                        data: frame.after,
-                        crc,
-                    });
+                    redo.insert(idx, frame.after);
                 }
                 for id in record.freed {
                     let idx = id.index();
+                    redo.remove(&idx);
                     if idx < image.blocks.len() {
                         image.blocks[idx] = None;
                     }
@@ -119,6 +122,7 @@ pub fn recover(log: &[u8], mut image: DiskImage) -> Result<Recovered, WalError> 
     // Blocks past the committed length are eager allocations of operations
     // that never committed; committed holes must be holes.
     image.blocks.truncate(committed_len);
+    redo.retain(|&idx, _| idx < committed_len);
     if image.blocks.len() < committed_len {
         return Err(WalError::Corrupt {
             offset: log.len(),
@@ -137,9 +141,13 @@ pub fn recover(log: &[u8], mut image: DiskImage) -> Result<Recovered, WalError> 
             });
         }
         image.blocks[idx] = None;
+        redo.remove(&idx);
     }
     let free_set: std::collections::BTreeSet<u32> = free.iter().copied().collect();
     for (idx, slot) in image.blocks.iter().enumerate() {
+        if redo.contains_key(&idx) {
+            continue;
+        }
         let id = BlockId(codec::usize_to_u32(idx).unwrap_or(u32::MAX));
         match slot {
             Some(block) => {
@@ -156,6 +164,10 @@ pub fn recover(log: &[u8], mut image: DiskImage) -> Result<Recovered, WalError> 
                 }
             }
         }
+    }
+    for (idx, data) in redo {
+        let crc = codec::crc32(&data);
+        image.blocks[idx] = Some(DiskBlock { data, crc });
     }
     Ok(Recovered {
         pager: Pager::from_image(image, free),

@@ -1,8 +1,9 @@
 //! Read-repair: reconstruct block images from the durable log.
 //!
-//! The pager verifies a per-block checksum on every read. On a mismatch
-//! (torn media, injected bit rot) it asks its journal for the latest
-//! *durable* image of the block instead of failing outright. This module
+//! The pager verifies a per-block checksum on read (memory frames once per
+//! version, file slots on every read). On a mismatch (torn media, injected
+//! bit rot) it asks its journal for the latest *durable* image of the
+//! block instead of failing outright. This module
 //! answers that question by folding the durable log front to back: a
 //! checkpoint record contributes the full image set captured at rotation
 //! time, every later commit record redoes its after-images over that, and
