@@ -30,7 +30,7 @@ impl BBox {
     /// Insert `n_tags` new labels immediately before `lid_old` as one bulk
     /// operation. Returns the new LIDs in document order.
     pub fn insert_subtree_before(&mut self, lid_old: Lid, n_tags: usize) -> Vec<Lid> {
-        let _span = boxes_trace::OpSpan::op(self.trace_tag(), "subtree_insert");
+        let _span = boxes_trace::OpSpan::op(self.pager(), self.trace_tag(), "subtree_insert");
         self.journaled(|t| t.insert_subtree_before_impl(lid_old, n_tags))
     }
 
@@ -249,7 +249,7 @@ impl BBox {
     /// `end_lid` (the start/end tags of a subtree root), reclaiming tree
     /// blocks and LIDF records.
     pub fn delete_subtree(&mut self, start_lid: Lid, end_lid: Lid) {
-        let _span = boxes_trace::OpSpan::op(self.trace_tag(), "subtree_delete");
+        let _span = boxes_trace::OpSpan::op(self.pager(), self.trace_tag(), "subtree_delete");
         self.journaled(|t| t.delete_subtree_impl(start_lid, end_lid));
     }
 

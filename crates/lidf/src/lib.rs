@@ -194,7 +194,7 @@ impl<R: Record> Lidf<R> {
     /// a single atomic WAL record carrying the refreshed `"lidf"` state
     /// blob. Without an attached journal this is pure scope bookkeeping.
     fn journaled<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> T {
-        let _lidf = boxes_trace::OpSpan::phase("lidf");
+        let _lidf = boxes_trace::OpSpan::phase(&self.pager, "lidf");
         let txn = self.pager.txn();
         let out = f(self);
         let state = self.save_state();
@@ -379,7 +379,7 @@ impl<R: Record> Lidf<R> {
 
     /// Read a live record. One I/O.
     pub fn read(&self, lid: Lid) -> R {
-        let _lidf = boxes_trace::OpSpan::phase("lidf");
+        let _lidf = boxes_trace::OpSpan::phase(&self.pager, "lidf");
         let (block, offset) = self.locate(lid);
         let buf = self.pager.read(block);
         let mut r = Reader::at(&buf, offset);
@@ -389,7 +389,7 @@ impl<R: Record> Lidf<R> {
 
     /// Read two records, paying one I/O when they share a block.
     pub fn read_pair(&self, a: Lid, b: Lid) -> (R, R) {
-        let _lidf = boxes_trace::OpSpan::phase("lidf");
+        let _lidf = boxes_trace::OpSpan::phase(&self.pager, "lidf");
         let (block_a, off_a) = self.locate(a);
         let (block_b, off_b) = self.locate(b);
         let buf_a = self.pager.read(block_a);
@@ -518,7 +518,7 @@ impl<R: Record> Lidf<R> {
 
     /// Whether the record is currently live. Costs one I/O (reads the slot).
     pub fn is_live(&self, lid: Lid) -> bool {
-        let _lidf = boxes_trace::OpSpan::phase("lidf");
+        let _lidf = boxes_trace::OpSpan::phase(&self.pager, "lidf");
         if lid.0 >= self.slots {
             return false;
         }
@@ -529,7 +529,7 @@ impl<R: Record> Lidf<R> {
 
     /// Sequentially scan all live records, one block read per block.
     pub fn scan(&self, mut f: impl FnMut(Lid, R)) {
-        let _lidf = boxes_trace::OpSpan::phase("lidf");
+        let _lidf = boxes_trace::OpSpan::phase(&self.pager, "lidf");
         for (bi, &block) in self.blocks.iter().enumerate() {
             let buf = self.pager.read(block);
             let base = usize_to_u64(bi) * usize_to_u64(self.recs_per_block);

@@ -47,11 +47,11 @@ pub use codec::{crc32, Reader, VecWriter, Writer};
 pub use fault::{splitmix64, FaultEvent, FaultPlan, FaultPlanConfig, FaultSite, ReadFault};
 pub use file::{recover_image, FileError};
 pub use pool::{BufferPool, PoolPinned, PoolPolicy, PoolStats};
-pub use stats::IoStats;
+pub use stats::{IoStats, JournalCounters, PagerCounters};
 pub use table::ShardStats;
 pub use vfs::{sector_floor, FaultFile, FileFaultPlan, RawFile, SECTOR_SIZE};
 
-use boxes_trace::{record as trace_record, Counter as TraceCounter};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use table::{PageTable, TableRef};
 
@@ -246,6 +246,13 @@ pub trait Journal: Send + Sync {
     /// `true` for journals that cannot fail.
     fn healthy(&self) -> bool {
         true
+    }
+
+    /// Cumulative activity counters, read by [`Pager::counters`] under the
+    /// pager's lock, so an implementation must not call back into the
+    /// pager. The default reports nothing.
+    fn counters(&self) -> JournalCounters {
+        JournalCounters::default()
     }
 }
 
@@ -766,6 +773,8 @@ impl Backend {
 /// the coordinator. Lock order: coordinator → shard → frame latch
 /// (registered with the BX015 lock-order lint).
 pub struct Pager {
+    /// Process-unique handle id ([`Pager::id`]).
+    id: u64,
     block_size: usize,
     /// The sharded frame/version store. For memory-backed pagers this is
     /// the same `Arc` as in `Backend::Memory`; file-backed pagers keep
@@ -777,6 +786,12 @@ pub struct Pager {
     /// charge their own stats under their own lock, release it, and only
     /// then take the base pager's lock — sequentially, never nested.
     view: Option<SnapshotRef>,
+}
+
+/// A fresh process-unique [`Pager::id`].
+fn next_pager_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::SeqCst)
 }
 
 /// Shared handle to a [`Pager`]. All data structures in this workspace take
@@ -814,6 +829,7 @@ impl Pager {
             ),
         };
         Arc::new(Pager {
+            id: next_pager_id(),
             block_size: config.block_size,
             table,
             inner: Mutex::new(PagerInner {
@@ -852,6 +868,7 @@ impl Pager {
             .collect();
         let table: TableRef = Arc::new(PageTable::from_blocks(blocks));
         Arc::new(Pager {
+            id: next_pager_id(),
             block_size: image.block_size,
             table: TableRef::clone(&table),
             inner: Mutex::new(PagerInner {
@@ -1225,7 +1242,6 @@ impl Pager {
                 WriteFault::Proceed => break,
                 WriteFault::Latency(ticks) => {
                     inner.stats.backoff_ticks += ticks;
-                    trace_record(TraceCounter::BackoffTicks, ticks);
                     break;
                 }
                 WriteFault::TearAndCrash(prefix) => {
@@ -1246,8 +1262,6 @@ impl Pager {
             retry += 1;
             inner.stats.retries += 1;
             inner.stats.backoff_ticks += policy.backoff_ticks(retry);
-            trace_record(TraceCounter::Retry, 1);
-            trace_record(TraceCounter::BackoffTicks, policy.backoff_ticks(retry));
         }
         inner.backend.write(id, data);
         Ok(())
@@ -1279,7 +1293,6 @@ impl Pager {
                 ReadFault::Proceed => false,
                 ReadFault::Latency(ticks) => {
                     inner.stats.backoff_ticks += ticks;
-                    trace_record(TraceCounter::BackoffTicks, ticks);
                     false
                 }
                 ReadFault::BitFlip { offset, mask } => {
@@ -1307,8 +1320,6 @@ impl Pager {
             retry += 1;
             inner.stats.retries += 1;
             inner.stats.backoff_ticks += policy.backoff_ticks(retry);
-            trace_record(TraceCounter::Retry, 1);
-            trace_record(TraceCounter::BackoffTicks, policy.backoff_ticks(retry));
         }
     }
 
@@ -1326,7 +1337,6 @@ impl Pager {
         match image {
             Some(data) if data.len() == block_size => {
                 inner.stats.repairs += 1;
-                trace_record(TraceCounter::Repair, 1);
                 if let Err((_, reason)) = Self::write_block_checked(inner, id, data.clone()) {
                     // The read is still answered from the log image; only
                     // write service is lost.
@@ -1367,6 +1377,7 @@ impl Pager {
             .map(|idx| codec::usize_to_u32(idx).unwrap_or(u32::MAX))
             .collect();
         Ok(Arc::new(Pager {
+            id: next_pager_id(),
             block_size,
             table: Arc::new(PageTable::new()),
             inner: Mutex::new(PagerInner {
@@ -1432,7 +1443,6 @@ impl Pager {
             std::panic::panic_any(PagerError::Degraded(reason));
         }
         inner.stats.allocs += 1;
-        trace_record(TraceCounter::Alloc, 1);
         if inner.journal.is_some() {
             assert!(
                 inner.txn.depth > 0,
@@ -1489,7 +1499,6 @@ impl Pager {
             std::panic::panic_any(PagerError::Pinned { block: id });
         }
         inner.stats.frees += 1;
-        trace_record(TraceCounter::Free, 1);
         // Drop any cached copy; a dirty cached copy of a freed block is dead
         // data, so it is discarded without a write-back.
         inner.pool.discard(id);
@@ -1555,7 +1564,6 @@ impl Pager {
         let mut inner = self.lock();
         if inner.journal.is_some() {
             inner.stats.reads += 1;
-            trace_record(TraceCounter::BlockRead, 1);
             assert!(
                 Self::txn_is_allocated(&inner, id),
                 "read of unallocated {id:?}"
@@ -1569,12 +1577,10 @@ impl Pager {
             return Self::read_block_checked(&mut inner, id, self.block_size, true);
         }
         if let Some(data) = inner.pool.get(id) {
-            trace_record(TraceCounter::CacheHit, 1);
             return Ok(data);
         }
         let data = Self::read_block_checked(&mut inner, id, self.block_size, true)?;
         inner.stats.reads += 1;
-        trace_record(TraceCounter::BlockRead, 1);
         if let Some((evicted, dirty)) = inner
             .pool
             .insert_clean(id, data.clone())
@@ -1629,7 +1635,6 @@ impl Pager {
                 "write to unallocated {id:?}"
             );
             inner.stats.writes += 1;
-            trace_record(TraceCounter::BlockWrite, 1);
             let boxed = data.to_vec().into_boxed_slice();
             if let Some(entry) = inner.txn.cache.get_mut(&id.0) {
                 entry.data = boxed;
@@ -1651,7 +1656,6 @@ impl Pager {
         );
         if inner.pool.capacity() == 0 {
             inner.stats.writes += 1;
-            trace_record(TraceCounter::BlockWrite, 1);
             Self::freeze_for_pins(&mut inner, &self.table, id, self.block_size);
             let boxed = data.to_vec().into_boxed_slice();
             if let Err((_, reason)) = Self::write_block_checked(&mut inner, id, boxed) {
@@ -1673,7 +1677,6 @@ impl Pager {
 
     fn write_back(inner: &mut PagerInner, id: BlockId, data: Box<[u8]>) -> Result<(), PagerError> {
         inner.stats.writes += 1;
-        trace_record(TraceCounter::BlockWrite, 1);
         if let Err((_, reason)) = Self::write_block_checked(inner, id, data) {
             // Unjournaled pool write-back has no overlay to park in: the
             // dirty image is lost, which is exactly why the failure is loud.
@@ -1707,6 +1710,29 @@ impl Pager {
     #[must_use]
     pub fn stats(&self) -> IoStats {
         self.lock().stats
+    }
+
+    /// One snapshot of everything this handle has counted: its I/O, its
+    /// buffer-pool hits and its journal's activity. Costs one pager lock
+    /// and one [`Journal::counters`] call.
+    #[must_use]
+    pub fn counters(&self) -> PagerCounters {
+        let inner = self.lock();
+        PagerCounters {
+            io: inner.stats,
+            cache_hits: inner.pool.stats().hits,
+            journal: inner
+                .journal
+                .as_ref()
+                .map_or_else(JournalCounters::default, |j| j.counters()),
+        }
+    }
+
+    /// Process-unique id of this handle; a snapshot view has its own. Trace
+    /// tallies are kept under it.
+    #[must_use]
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// Current service state: [`Health::Ok`], or [`Health::Degraded`] after
@@ -1854,14 +1880,6 @@ impl Pager {
         self.table.shard_stats()
     }
 
-    /// Reset the I/O and buffer-pool counters to zero (pool contents are
-    /// kept).
-    pub fn reset_stats(&self) {
-        let mut inner = self.lock();
-        inner.stats = IoStats::default();
-        inner.pool.reset_stats();
-    }
-
     /// Number of currently allocated blocks — the paper's "total space"
     /// metric, in blocks.
     pub fn allocated_blocks(&self) -> usize {
@@ -2001,6 +2019,7 @@ impl Pager {
         // forwards to the base pager's sharded table via the tether.
         let table: TableRef = Arc::new(PageTable::new());
         let view = Arc::new(Pager {
+            id: next_pager_id(),
             block_size: self.block_size,
             table: TableRef::clone(&table),
             inner: Mutex::new(PagerInner {
@@ -2032,7 +2051,6 @@ impl Pager {
     fn charge_view_read(&self) {
         let mut inner = self.lock();
         inner.stats.reads += 1;
-        trace_record(TraceCounter::BlockRead, 1);
     }
 
     /// Force a group-commit boundary now: ask the journal for a durability
@@ -2326,15 +2344,6 @@ mod tests {
         p.free(a);
         p.flush();
         assert_eq!(p.stats().writes, 0);
-    }
-
-    #[test]
-    fn stats_reset() {
-        let p = pager(64);
-        let id = p.alloc();
-        p.read(id);
-        p.reset_stats();
-        assert_eq!(p.stats().total(), 0);
     }
 
     #[test]

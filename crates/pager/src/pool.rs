@@ -113,11 +113,6 @@ impl BufferPool {
         self.stats
     }
 
-    /// Zero the hit/miss counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = PoolStats::default();
-    }
-
     fn tick(&mut self) -> u64 {
         self.clock += 1;
         self.clock

@@ -48,6 +48,34 @@ impl IoStats {
     }
 }
 
+/// Cumulative activity counters of a [`crate::Journal`]; trace spans report
+/// them as the `wal_*` counters.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct JournalCounters {
+    /// Commit records appended to the log.
+    pub appends: u64,
+    /// Durability barriers (fsyncs) that succeeded.
+    pub syncs: u64,
+    /// Checkpoints (log rotations onto a fold record).
+    pub checkpoints: u64,
+    /// Block images rebuilt from the log for read-repair.
+    pub replays: u64,
+}
+
+/// Everything one pager handle has counted since it was made: its I/O, its
+/// buffer-pool hits and its journal's activity. Every field only grows, so
+/// two snapshots bracket the cost of whatever ran between them — a trace
+/// span is exactly such a pair.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PagerCounters {
+    /// The handle's I/O counters.
+    pub io: IoStats,
+    /// Reads served by the buffer pool without a charged I/O.
+    pub cache_hits: u64,
+    /// The attached journal's counters (zero without one).
+    pub journal: JournalCounters,
+}
+
 impl std::ops::Add for IoStats {
     type Output = IoStats;
     fn add(self, rhs: IoStats) -> IoStats {

@@ -148,42 +148,25 @@ pub(crate) struct ShardState {
 }
 
 /// One page-table shard: a small mutex over its slice of the frame map,
-/// plus contention tallies (SeqCst; read by [`PageTable::shard_stats`] and
-/// mirrored into the `boxes_trace::latch` side channel).
+/// plus contention tallies (SeqCst; read by [`PageTable::shard_stats`]).
+#[derive(Default)]
 pub(crate) struct Shard {
-    idx: usize,
     state: Mutex<ShardState>,
     acquisitions: AtomicU64,
     contended: AtomicU64,
 }
 
 impl Shard {
-    fn new(idx: usize) -> Self {
-        Shard {
-            idx,
-            state: Mutex::new(ShardState::default()),
-            acquisitions: AtomicU64::new(0),
-            contended: AtomicU64::new(0),
-        }
-    }
-
     /// Acquire this shard's state mutex, tallying the acquisition and —
     /// when the uncontended fast path misses — the contention event. Poison
     /// recovery as in [`lock_unpoisoned`].
     fn state_guard(&self) -> MutexGuard<'_, ShardState> {
         self.acquisitions.fetch_add(1, Ordering::SeqCst);
         match self.state.try_lock() {
-            Ok(guard) => {
-                boxes_trace::latch::record_latch(self.idx, false);
-                guard
-            }
-            Err(std::sync::TryLockError::Poisoned(poisoned)) => {
-                boxes_trace::latch::record_latch(self.idx, false);
-                poisoned.into_inner()
-            }
+            Ok(guard) => guard,
+            Err(std::sync::TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
             Err(std::sync::TryLockError::WouldBlock) => {
                 self.contended.fetch_add(1, Ordering::SeqCst);
-                boxes_trace::latch::record_latch(self.idx, true);
                 lock_unpoisoned(&self.state)
             }
         }
@@ -216,7 +199,7 @@ impl PageTable {
     /// Fresh empty table.
     pub(crate) fn new() -> PageTable {
         PageTable {
-            shards: (0..SHARD_COUNT).map(Shard::new).collect(),
+            shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect(),
             len: AtomicUsize::new(0),
         }
     }

@@ -597,12 +597,10 @@ fn leg_c_stress_readers_stay_pinned_and_report_latch_traffic() {
              \"shard_acquisitions\": {acquisitions}, \"shard_contended\": {contended}}}"
         ));
     }
-    let (latch_acquired, latch_contended) = boxes_trace::latch::latch_totals();
     let report = format!(
-        "{{\n  \"schema\": \"boxes-latch/1\",\n  \"shard_count\": 16,\n  \
+        "{{\n  \"schema\": \"boxes-latch/2\",\n  \"shard_count\": 16,\n  \
          \"scheduled_legs\": {{\"leg_a\": {LEG_A_SCHEDULES}, \"leg_b\": {LEG_B_SCHEDULES}, \
-         \"minimum\": 200}},\n  \"stress\": [\n{}\n  ],\n  \
-         \"latch_trace\": {{\"acquired\": {latch_acquired}, \"contended\": {latch_contended}}}\n}}\n",
+         \"minimum\": 200}},\n  \"stress\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );
     // CARGO_TARGET_TMPDIR is <workspace>/target/tmp for integration tests;

@@ -23,10 +23,11 @@
 //! publishes a new epoch at every group-commit boundary automatically, or
 //! on demand with [`WriterSession::publish`].
 //!
-//! Every session carries a [`boxes_trace::TraceSession`], so per-session
-//! I/O attribution survives N threads: the profile gate's accounting
-//! identity (attributed + unattributed == pager I/O delta) holds with
-//! concurrent readers active.
+//! Each snapshot reads through its own view pager, which has its own I/O
+//! counters, so per-session I/O attribution needs no extra bookkeeping:
+//! trace spans opened on a view measure that view alone, and the profile
+//! gate's accounting identity holds per handle with concurrent readers
+//! active ([`boxes_trace::tally`]).
 //!
 //! ```
 //! use boxes_core::{LabelingScheme, WBoxScheme};
@@ -64,7 +65,7 @@ use boxes_core::LabelingScheme;
 use boxes_lidf::{Lidf, Record};
 use boxes_naive::NaiveConfig;
 use boxes_pager::{lock_unpoisoned, IoStats, PagerError, SharedPager};
-use boxes_trace::{OpSpan, TraceSession};
+use boxes_trace::OpSpan;
 use boxes_wbox::WBoxConfig;
 
 /// Why a session could not be opened.
@@ -260,12 +261,9 @@ impl<S: SessionScheme> SessionManager<S> {
             let mut slot = lock_unpoisoned(&self.writer);
             slot.take().ok_or(SessionError::WriterBusy)?
         };
-        let trace = TraceSession::begin("writer");
-        trace.bind_current_thread();
         Ok(WriterSession {
             manager: self,
             scheme: Some(scheme),
-            trace,
         })
     }
 
@@ -274,21 +272,16 @@ impl<S: SessionScheme> SessionManager<S> {
     /// is a fresh reopen over a snapshot-view pager, so lookups on it never
     /// touch (or observe) writer state.
     pub fn snapshot(&self) -> Result<Snapshot<S>, SessionError> {
-        // Begin (and bind) the trace session *before* the reopen so any
-        // I/O the view does while opening is already attributed here.
-        let trace = TraceSession::begin("snapshot");
-        trace.bind_current_thread();
         let (view, metas) = self.pager.snapshot_view();
         let epoch = view.snapshot_epoch().unwrap_or(0);
         let scheme = {
-            let _span = OpSpan::op("session", "open");
+            let _span = OpSpan::op(&view, "session", "open");
             S::open_view(view, &self.config, &metas)?
         };
         Ok(Snapshot {
             scheme,
             epoch,
             metas,
-            trace,
         })
     }
 }
@@ -301,7 +294,6 @@ impl<S: SessionScheme> SessionManager<S> {
 pub struct WriterSession<'a, S: SessionScheme> {
     manager: &'a SessionManager<S>,
     scheme: Option<S>,
-    trace: TraceSession,
 }
 
 impl<S: SessionScheme> WriterSession<'_, S> {
@@ -310,13 +302,8 @@ impl<S: SessionScheme> WriterSession<'_, S> {
     /// published. Use this to make the latest streamed ops visible to
     /// snapshots without waiting for `sync_every` to trip.
     pub fn publish(&self) -> bool {
-        let _span = OpSpan::op("session", "publish");
+        let _span = OpSpan::op(&self.manager.pager, "session", "publish");
         self.manager.pager.publish_barrier()
-    }
-
-    /// This session's trace handle (per-session I/O attribution).
-    pub fn trace(&self) -> &TraceSession {
-        &self.trace
     }
 }
 
@@ -349,7 +336,6 @@ pub struct Snapshot<S: SessionScheme> {
     scheme: S,
     epoch: u64,
     metas: Arc<BTreeMap<String, Vec<u8>>>,
-    trace: TraceSession,
 }
 
 impl<S: SessionScheme> Snapshot<S> {
@@ -389,18 +375,6 @@ impl<S: SessionScheme> Snapshot<S> {
     #[must_use]
     pub fn io(&self) -> IoStats {
         self.scheme.pager().stats()
-    }
-
-    /// This session's trace handle (per-session I/O attribution).
-    pub fn trace(&self) -> &TraceSession {
-        &self.trace
-    }
-
-    /// Re-bind trace attribution to the calling thread — call this after
-    /// moving the snapshot to another thread so its events keep landing in
-    /// this session's tally.
-    pub fn bind_current_thread(&self) {
-        self.trace.bind_current_thread();
     }
 
     /// The published meta blobs at this snapshot's epoch.

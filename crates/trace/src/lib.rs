@@ -3,74 +3,69 @@
 //! The paper's claims are I/O *cost bounds* — W-BOX O(1) lookup and
 //! O(log_B N) amortized insert, B-BOX O(log_B N) lookup and O(1) amortized
 //! update — so the unit of observation here is the logical operation, not
-//! wall-clock time. This crate provides:
+//! wall-clock time. The pager is the only counter: it counts every I/O
+//! once, and this crate only reads those counts. It provides:
 //!
-//! * [`OpSpan`]: an RAII span carrying a scheme tag ("W-BOX", "B-BOX", …)
-//!   and an op or phase label ("insert", "split", "lidf", …). Spans nest;
-//!   the innermost open span owns every counter event recorded while it is
-//!   open, and folds its totals into its parent when it closes.
-//! * [`Counter`]: the event vocabulary — block reads/writes/allocs/frees,
-//!   retries/repairs/backoff ticks, buffer-pool cache hits, WAL
-//!   appends/syncs/checkpoints and log-image replays.
-//! * A bounded ring buffer of [`SpanEvent`]s (closed spans) plus
-//!   per-(scheme, op) aggregates with log2 I/O histograms.
-//! * [`TraceReport`]: a snapshot with human ([`TraceReport::render_text`])
-//!   and JSON ([`TraceReport::to_json`]) export. The JSON string is what
+//! * [`OpSpan`]: an RAII span opened on a pager handle, carrying a scheme
+//!   tag ("W-BOX", "B-BOX", …) and an op or phase label ("insert",
+//!   "split", "lidf", …). It snapshots the handle's counters
+//!   ([`Pager::counters`]: its `IoStats`, its buffer-pool hits and its
+//!   journal's activity) when it opens and when it closes; the difference
+//!   is the span's I/O. Spans nest per thread, and a parent's interval
+//!   contains its children's, so its delta includes theirs.
+//! * [`Counter`] / [`TraceCounters`]: the twelve counters a span measures.
+//! * Per-(scheme, op) and per-(scheme, phase) aggregates with log2 I/O
+//!   histograms, plus a bounded ring buffer of closed [`SpanEvent`]s.
+//! * Per-source tallies: the outermost span on a handle adds its delta to
+//!   that handle's [`tally`].
+//! * [`TraceReport`]: a snapshot with JSON export
+//!   ([`TraceReport::to_json`]). The JSON string is what
 //!   `cargo xtask analyze --profile-only` writes to
 //!   `target/trace-report.json`.
+//!
+//! # Accounting identity
+//!
+//! For every pager handle, at any moment,
+//!
+//! ```text
+//! tally(pager) + unattributed(pager) == pager.counters()
+//! ```
+//!
+//! and [`unattributed`] stays zero as long as every touch of the handle
+//! happens under some span opened on it. The `--profile-only` analyze pass
+//! fails if a scheme hot path leaks I/O outside its spans. The identity is
+//! per handle, so work on another handle — another pager, or a snapshot
+//! view, which has its own counters — cannot move it, whatever thread that
+//! work runs on. Two threads running spans on the *same* handle at once
+//! would each see the other's I/O; schemes have a single mutator and every
+//! snapshot reader gets its own view, so nothing here does that.
 //!
 //! # Determinism
 //!
 //! There is no wall clock anywhere (lint rule BX007): time is a logical
-//! tick counter advanced once per recorded event and span transition, so
-//! two runs of the same seeded workload produce byte-identical reports.
-//! Span stacks are *per-thread by key, not thread-local by storage*: the
-//! mutex-guarded registry keys each stack by `ThreadId`, so a span opened
-//! on one thread attributes only events recorded on that thread, while
-//! every tally, aggregate, and the event ring live in the same global —
-//! a report taken on the main thread accounts for reader threads too and
-//! the identity below holds across threads. Single-threaded runs see the
-//! exact same tick sequence as the old thread-local tracer. On top of the
-//! stacks sits *session attribution*: a [`TraceSession`] handle binds a
-//! thread to a session id, root spans opened on a bound thread inherit
-//! it, and every recorded event is tallied per session — this is what
-//! lets `boxes-session` prove each snapshot's logical I/O separately
-//! while the global identity still closes. This crate deliberately has
-//! zero dependencies so the pager can sit above it.
-//!
-//! # Accounting identity
-//!
-//! Instrumented call sites mirror every `IoStats` increment with a
-//! [`record`] call, so for any interval:
-//!
-//! ```text
-//! attributed() + unattributed() == IoStats::since(before) delta
-//! ```
-//!
-//! holds counter-by-counter, and `unattributed()` stays zero as long as
-//! every pager touch happens under an open span. The `--profile-only`
-//! analyze pass fails if scheme hot paths leak unattributed I/O.
+//! tick counter advanced once per span open and once per close, so two
+//! runs of the same seeded workload produce byte-identical reports. Span
+//! stacks are *per-thread by key, not thread-local by storage*: the
+//! mutex-guarded registry keys each stack by `ThreadId`, so the whole
+//! tracer is a single `Sync` value (sync-readiness rule BX018).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Per-shard latch contention tallies (side channel, not in the
-/// deterministic [`TraceReport`]).
-pub mod latch;
-
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::ThreadId;
+
+use boxes_pager::{Pager, SharedPager};
 
 /// Number of distinct [`Counter`] kinds.
 pub const COUNTER_KINDS: usize = 12;
 
-/// One kind of recorded event. The first seven mirror
-/// `boxes_pager::IoStats` field-for-field (that pairing is what the
-/// accounting identity is checked against); the rest cover the buffer
-/// pool and the WAL.
+/// One of the counters a span measures. The first seven are
+/// `boxes_pager::IoStats` field for field; the rest are the buffer pool's
+/// hits and the journal's [`boxes_pager::JournalCounters`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
     /// A charged pager block read (`IoStats::reads`).
@@ -140,7 +135,7 @@ impl Counter {
     }
 }
 
-/// A bundle of per-kind event totals. Field order mirrors [`Counter`].
+/// A bundle of per-kind totals. Field order mirrors [`Counter`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceCounters {
     /// Charged pager block reads.
@@ -221,8 +216,7 @@ impl TraceCounters {
         self.reads.saturating_add(self.writes)
     }
 
-    /// Counter-wise difference against an earlier snapshot (saturating, so
-    /// a reset between snapshots yields zeros rather than wrapping).
+    /// Counter-wise difference against an earlier snapshot (saturating).
     #[must_use]
     pub fn since(&self, earlier: &TraceCounters) -> TraceCounters {
         let mut out = TraceCounters::default();
@@ -314,7 +308,7 @@ pub struct SpanEvent {
     pub start_tick: u64,
     /// Logical tick at close.
     pub end_tick: u64,
-    /// Counter totals attributed to this span (children folded in).
+    /// The span's I/O: its handle's counters at close minus at open.
     pub counters: TraceCounters,
 }
 
@@ -326,49 +320,36 @@ struct Frame {
     label: &'static str,
     phase: bool,
     start_tick: u64,
-    /// Owning session id (0 = unbound). Root frames take the opening
-    /// thread's binding; child frames inherit their parent's.
-    session: u64,
-    counters: TraceCounters,
+    /// [`Pager::id`] of the handle the span reads.
+    source: u64,
+    /// No enclosing span on this thread reads the same handle, so this
+    /// span's delta goes into the handle's tally.
+    outermost: bool,
+    /// The handle's counters when the span opened.
+    start: TraceCounters,
 }
 
-/// Per-session tally: label, totals, and whether the RAII handle is
-/// still alive.
-#[derive(Debug, Clone)]
-struct SessionStat {
-    label: &'static str,
-    open: bool,
-    counters: TraceCounters,
-}
-
-/// Default bound on the ring buffer of closed-span events.
-pub const DEFAULT_EVENT_CAPACITY: usize = 4096;
+/// Bound on the ring buffer of closed-span events.
+const EVENT_CAPACITY: usize = 4096;
 
 /// The shared registry, span stacks included: stacks are keyed by
 /// `ThreadId` inside the one mutex-guarded global rather than living in
 /// `thread_local!` storage, so the whole tracer is a single `Sync` value
-/// (sync-readiness rule BX018) and session tallies can be bumped in the
-/// same critical section that attributes an event to a frame.
+/// (sync-readiness rule BX018).
 #[derive(Default)]
 struct Tracer {
     next_id: u64,
     ticks: u64,
     open_spans: u64,
-    attributed: TraceCounters,
-    unattributed: TraceCounters,
     events: VecDeque<SpanEvent>,
-    event_capacity: usize,
     dropped_events: u64,
     ops: BTreeMap<(&'static str, &'static str), OpAgg>,
     phases: BTreeMap<(&'static str, &'static str), OpAgg>,
     out_of_order_closes: u64,
     /// Per-thread span stacks; an entry is removed when its stack drains.
     stacks: HashMap<ThreadId, Vec<Frame>>,
-    /// Thread → session binding installed by [`TraceSession`].
-    bindings: HashMap<ThreadId, u64>,
-    /// Per-session tallies, keyed by session id (ids are 1-based).
-    sessions: BTreeMap<u64, SessionStat>,
-    next_session: u64,
+    /// Per-handle tallies, keyed by [`Pager::id`].
+    sources: BTreeMap<u64, TraceCounters>,
 }
 
 impl Tracer {
@@ -381,39 +362,56 @@ impl Tracer {
 static TRACER: OnceLock<Mutex<Tracer>> = OnceLock::new();
 
 fn with_tracer<R>(f: impl FnOnce(&mut Tracer) -> R) -> R {
-    let tracer = TRACER.get_or_init(|| {
-        Mutex::new(Tracer {
-            event_capacity: DEFAULT_EVENT_CAPACITY,
-            ..Tracer::default()
-        })
-    });
     // Recover from poisoning: crash injection panics mid-workload by
-    // design, and the registry's counters stay internally consistent (every
-    // mutation completes before the panic sites in pager/wal code run).
-    let mut guard = match tracer.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    };
+    // design, and every registry mutation completes before control leaves
+    // this crate.
+    let mut guard = boxes_pager::lock_unpoisoned(TRACER.get_or_init(Mutex::default));
     f(&mut guard)
 }
 
-fn open_span(scheme: &'static str, label: &'static str, phase: bool) -> u64 {
-    with_tracer(|t| {
+/// Everything `pager` has counted so far, as a counter bundle.
+fn counters(pager: &Pager) -> TraceCounters {
+    let c = pager.counters();
+    TraceCounters {
+        reads: c.io.reads,
+        writes: c.io.writes,
+        allocs: c.io.allocs,
+        frees: c.io.frees,
+        retries: c.io.retries,
+        repairs: c.io.repairs,
+        backoff_ticks: c.io.backoff_ticks,
+        cache_hits: c.cache_hits,
+        wal_appends: c.journal.appends,
+        wal_syncs: c.journal.syncs,
+        wal_checkpoints: c.journal.checkpoints,
+        wal_replays: c.journal.replays,
+    }
+}
+
+fn open_span(
+    pager: &SharedPager,
+    scheme: &'static str,
+    label: &'static str,
+    phase: bool,
+) -> OpSpan {
+    let start = counters(pager);
+    let source = pager.id();
+    let id = with_tracer(|t| {
         let tid = std::thread::current().id();
-        let (parent, depth, scheme, session) = match t.stacks.get(&tid).and_then(|s| s.last()) {
+        let stack = t.stacks.get(&tid);
+        let (parent, depth, scheme) = match stack.and_then(|s| s.last()) {
+            // Phase sub-spans inherit the scheme tag they run under.
             Some(top) => {
-                // Phase sub-spans inherit the scheme tag they run under;
-                // every child inherits its parent's session.
                 let s = if phase && scheme.is_empty() {
                     top.scheme
                 } else {
                     scheme
                 };
-                (top.id, top.depth.saturating_add(1), s, top.session)
+                (top.id, top.depth.saturating_add(1), s)
             }
-            // Root spans take the opening thread's session binding.
-            None => (0, 0, scheme, t.bindings.get(&tid).copied().unwrap_or(0)),
+            None => (0, 0, scheme),
         };
+        let outermost = !stack.is_some_and(|s| s.iter().any(|f| f.source == source));
         let start_tick = t.tick();
         t.next_id = t.next_id.saturating_add(1);
         t.open_spans = t.open_spans.saturating_add(1);
@@ -426,14 +424,19 @@ fn open_span(scheme: &'static str, label: &'static str, phase: bool) -> u64 {
             label,
             phase,
             start_tick,
-            session,
-            counters: TraceCounters::default(),
+            source,
+            outermost,
+            start,
         });
         id
-    })
+    });
+    OpSpan {
+        id,
+        pager: Arc::clone(pager),
+    }
 }
 
-fn close_span(id: u64) {
+fn close_span(id: u64, end: &TraceCounters) {
     // Spans close LIFO in correct code; tolerate (and count) an
     // out-of-order close rather than corrupting the stack. A close for a
     // frame this thread does not own (never possible through the RAII
@@ -448,17 +451,17 @@ fn close_span(id: u64) {
         };
         let out_of_order = pos != stack.len() - 1;
         let frame = stack.remove(pos);
-        if let Some(parent) = stack.last_mut() {
-            parent.counters.merge(&frame.counters);
-        }
-        let drained = stack.is_empty();
-        if drained {
+        if stack.is_empty() {
             t.stacks.remove(&tid);
         }
         let end_tick = t.tick();
         t.open_spans = t.open_spans.saturating_sub(1);
         if out_of_order {
             t.out_of_order_closes = t.out_of_order_closes.saturating_add(1);
+        }
+        let delta = end.since(&frame.start);
+        if frame.outermost {
+            t.sources.entry(frame.source).or_default().merge(&delta);
         }
         let map = if frame.phase {
             &mut t.phases
@@ -467,297 +470,127 @@ fn close_span(id: u64) {
         };
         map.entry((frame.scheme, frame.label))
             .or_default()
-            .absorb(&frame.counters);
-        if t.event_capacity > 0 {
-            if t.events.len() >= t.event_capacity {
-                t.events.pop_front();
-                t.dropped_events = t.dropped_events.saturating_add(1);
-            }
-            t.events.push_back(SpanEvent {
-                id: frame.id,
-                parent: frame.parent,
-                depth: frame.depth,
-                scheme: frame.scheme,
-                label: frame.label,
-                phase: frame.phase,
-                start_tick: frame.start_tick,
-                end_tick,
-                counters: frame.counters,
-            });
+            .absorb(&delta);
+        if t.events.len() >= EVENT_CAPACITY {
+            t.events.pop_front();
+            t.dropped_events = t.dropped_events.saturating_add(1);
         }
+        t.events.push_back(SpanEvent {
+            id: frame.id,
+            parent: frame.parent,
+            depth: frame.depth,
+            scheme: frame.scheme,
+            label: frame.label,
+            phase: frame.phase,
+            start_tick: frame.start_tick,
+            end_tick,
+            counters: delta,
+        });
     });
 }
 
-/// RAII span: open at construction, closed (and folded into its parent)
-/// on drop. Bind it to a named local — `let _span = OpSpan::op(...)` —
-/// so it lives for the scope; binding to `_` or leaking it defeats
-/// attribution (lint rule BX009).
-#[derive(Debug)]
+/// RAII span: open at construction, closed on drop. Bind it to a named
+/// local — `let _span = OpSpan::op(...)` — so it lives for the scope;
+/// binding to `_` or leaking it defeats attribution (lint rule BX009).
 #[must_use = "an unbound span closes immediately and attributes nothing"]
 pub struct OpSpan {
     id: u64,
+    /// The handle whose counters the span reads.
+    pager: SharedPager,
 }
 
 impl OpSpan {
-    /// Open a top-level operation span: `scheme` tags which labeling
-    /// scheme runs the primitive, `op` names it ("lookup", "insert",
-    /// "delete", "bulk_load", …).
-    pub fn op(scheme: &'static str, op: &'static str) -> OpSpan {
-        OpSpan {
-            id: open_span(scheme, op, false),
-        }
+    /// Open a top-level operation span on `pager`: `scheme` tags which
+    /// labeling scheme runs the primitive, `op` names it ("lookup",
+    /// "insert", "delete", "bulk_load", …).
+    pub fn op(pager: &SharedPager, scheme: &'static str, op: &'static str) -> OpSpan {
+        open_span(pager, scheme, op, false)
     }
 
-    /// Open a phase sub-span ("split", "merge", "respace", "relabel",
-    /// "rebuild", "lidf", …). The scheme tag is inherited from the
-    /// enclosing span.
-    pub fn phase(name: &'static str) -> OpSpan {
-        OpSpan {
-            id: open_span("", name, true),
-        }
+    /// Open a phase sub-span on `pager` ("split", "merge", "respace",
+    /// "relabel", "rebuild", "lidf", …). The scheme tag is inherited from
+    /// the enclosing span.
+    pub fn phase(pager: &SharedPager, name: &'static str) -> OpSpan {
+        open_span(pager, "", name, true)
     }
 }
 
 impl Drop for OpSpan {
     fn drop(&mut self) {
-        close_span(self.id);
+        close_span(self.id, &counters(&self.pager));
     }
 }
 
-/// Record `n` events of `kind` against the innermost span open *on this
-/// thread* (or the global unattributed tally when none is). Called by the
-/// pager and the WAL at the same sites that bump their own stats. The
-/// owning session — the frame's inherited session, or the bare thread
-/// binding when no span is open — is tallied in the same critical
-/// section.
-pub fn record(kind: Counter, n: u64) {
-    if n == 0 {
-        return;
-    }
-    with_tracer(|t| {
-        t.tick();
-        let tid = std::thread::current().id();
-        let session = match t.stacks.get_mut(&tid).and_then(|s| s.last_mut()) {
-            Some(top) => {
-                top.counters.bump(kind, n);
-                t.attributed.bump(kind, n);
-                top.session
-            }
-            None => {
-                t.unattributed.bump(kind, n);
-                t.bindings.get(&tid).copied().unwrap_or(0)
-            }
-        };
-        if session != 0 {
-            if let Some(s) = t.sessions.get_mut(&session) {
-                s.counters.bump(kind, n);
-            }
-        }
-    });
-}
-
-/// Reset the global registry to empty (counters, aggregates, events,
-/// ticks). Open spans survive but their already-recorded counts are gone;
-/// reset between spans — on a single thread, with no reader threads mid-op
-/// — not inside one.
+/// Reset the global registry to empty (aggregates, events, ticks, source
+/// tallies). Open spans survive and still close cleanly, but their deltas
+/// then land in the fresh registry: reset between spans — on a single
+/// thread, with no reader threads mid-op — not inside one.
 pub fn reset() {
-    latch::reset_latches();
     with_tracer(|t| {
-        let capacity = t.event_capacity;
-        let next_id = t.next_id;
-        let open = t.open_spans;
-        let next_session = t.next_session;
-        // Keep live frames so RAII drops of pre-reset spans stay sound,
-        // but zero their partial counts. Bindings and still-open sessions
-        // survive (zeroed) so live TraceSession handles stay meaningful;
-        // closed sessions are dropped with the rest of the tallies.
-        let mut stacks = std::mem::take(&mut t.stacks);
-        for stack in stacks.values_mut() {
-            for f in stack.iter_mut() {
-                f.counters = TraceCounters::default();
-                f.start_tick = 0;
-            }
-        }
-        let bindings = std::mem::take(&mut t.bindings);
-        let mut sessions = std::mem::take(&mut t.sessions);
-        sessions.retain(|_, s| s.open);
-        for s in sessions.values_mut() {
-            s.counters = TraceCounters::default();
-        }
         *t = Tracer {
-            event_capacity: capacity,
-            next_id,
-            open_spans: open,
-            next_session,
-            stacks,
-            bindings,
-            sessions,
+            next_id: t.next_id,
+            open_spans: t.open_spans,
+            stacks: std::mem::take(&mut t.stacks),
             ..Tracer::default()
         };
     });
 }
 
-/// Totals recorded while some span was open.
+/// What the outermost spans on `pager` have measured, summed.
 #[must_use]
-pub fn attributed() -> TraceCounters {
-    with_tracer(|t| t.attributed)
+pub fn tally(pager: &Pager) -> TraceCounters {
+    let id = pager.id();
+    with_tracer(|t| t.sources.get(&id).copied().unwrap_or_default())
 }
 
-/// Totals recorded with no span open.
+/// What `pager` counted that no closed span on it measured: its
+/// [`Pager::counters`] minus its [`tally`]. Zero while all of the handle's work
+/// runs under spans opened on it (and none is open).
 #[must_use]
-pub fn unattributed() -> TraceCounters {
-    with_tracer(|t| t.unattributed)
+pub fn unattributed(pager: &Pager) -> TraceCounters {
+    counters(pager).since(&tally(pager))
 }
 
-/// Everything recorded: attributed + unattributed. For any interval this
-/// equals the pager's `IoStats::since` delta on the seven shared fields.
+/// Number of spans currently open on `pager`, across all threads.
 #[must_use]
-pub fn observed() -> TraceCounters {
+pub fn open_spans(pager: &Pager) -> usize {
+    let id = pager.id();
     with_tracer(|t| {
-        let mut all = t.attributed;
-        all.merge(&t.unattributed);
-        all
+        t.stacks
+            .values()
+            .flatten()
+            .filter(|f| f.source == id)
+            .count()
     })
 }
 
-/// Current logical tick.
-#[must_use]
-pub fn ticks() -> u64 {
-    with_tracer(|t| t.ticks)
-}
-
-/// Number of currently open spans, across all threads.
-#[must_use]
-pub fn open_spans() -> usize {
-    with_tracer(|t| usize::try_from(t.open_spans).unwrap_or(usize::MAX))
-}
-
-/// Replace the bound on the closed-span event ring (0 disables event
-/// capture; aggregates still accumulate).
-pub fn set_event_capacity(capacity: usize) {
-    with_tracer(|t| {
-        t.event_capacity = capacity;
-        while t.events.len() > capacity {
-            t.events.pop_front();
-            t.dropped_events = t.dropped_events.saturating_add(1);
-        }
-    });
-}
-
-/// RAII per-session attribution handle.
-///
-/// `begin` allocates a fresh session id, starts a tally for it, and binds
-/// the *current thread* to it: root spans opened on a bound thread (and
-/// every event they attribute) are tallied against the session, as are
-/// span-less events recorded on the thread. A session follows work across
-/// threads via [`TraceSession::bind_current_thread`]. Dropping the handle
-/// marks the session closed and removes its thread bindings; the tally
-/// itself survives in [`report`]s until the next [`reset`].
-///
-/// One session per thread at a time: binding a thread overwrites any
-/// previous binding, so interleave sessions across threads, not within
-/// one.
-#[derive(Debug)]
-#[must_use = "dropping a session immediately unbinds its threads"]
-pub struct TraceSession {
-    id: u64,
-}
-
-impl TraceSession {
-    /// Start a session and bind the current thread to it.
-    pub fn begin(label: &'static str) -> TraceSession {
-        with_tracer(|t| {
-            t.next_session = t.next_session.saturating_add(1);
-            let id = t.next_session;
-            t.sessions.insert(
-                id,
-                SessionStat {
-                    label,
-                    open: true,
-                    counters: TraceCounters::default(),
-                },
-            );
-            t.bindings.insert(std::thread::current().id(), id);
-            TraceSession { id }
-        })
-    }
-
-    /// The session id (1-based, allocation order; 0 means "no session").
-    #[must_use]
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Bind the calling thread to this session (for work handed across
-    /// threads). Replaces the thread's previous binding, if any.
-    pub fn bind_current_thread(&self) {
-        let id = self.id;
-        with_tracer(|t| {
-            t.bindings.insert(std::thread::current().id(), id);
-        });
-    }
-
-    /// This session's tally so far.
-    #[must_use]
-    pub fn counters(&self) -> TraceCounters {
-        session_counters(self.id).unwrap_or_default()
-    }
-}
-
-impl Drop for TraceSession {
-    fn drop(&mut self) {
-        let id = self.id;
-        with_tracer(|t| {
-            if let Some(s) = t.sessions.get_mut(&id) {
-                s.open = false;
-            }
-            t.bindings.retain(|_, bound| *bound != id);
-        });
-    }
-}
-
-/// Tally of one session by id, if it exists (i.e. began after the last
-/// [`reset`], or was still open across it).
-#[must_use]
-pub fn session_counters(id: u64) -> Option<TraceCounters> {
-    with_tracer(|t| t.sessions.get(&id).map(|s| s.counters))
-}
-
-/// One session's row in a [`TraceReport`].
+/// One handle's row in a [`TraceReport`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SessionTally {
-    /// Session id (1-based, allocation order).
+pub struct SourceTally {
+    /// The handle's [`Pager::id`].
     pub id: u64,
-    /// Label given to [`TraceSession::begin`].
-    pub label: String,
-    /// Whether the RAII handle was still alive at snapshot time.
-    pub open: bool,
-    /// Counter totals attributed to the session.
+    /// What the outermost spans on the handle measured, summed.
     pub counters: TraceCounters,
 }
 
-/// Immutable snapshot of the tracer: aggregates, global tallies, and the
-/// ring of recent closed spans.
+/// Immutable snapshot of the tracer: aggregates, per-source tallies, and
+/// the ring of recent closed spans.
 #[derive(Debug, Clone, Default)]
 pub struct TraceReport {
     /// Logical tick at snapshot time.
     pub ticks: u64,
-    /// Spans still open when the snapshot was taken.
+    /// Spans still open when the snapshot was taken, on any handle.
     pub open_spans: u64,
     /// Spans that closed out of LIFO order (should stay 0).
     pub out_of_order_closes: u64,
     /// Ring events discarded because the buffer was full.
     pub dropped_events: u64,
-    /// Totals recorded under some span.
-    pub attributed: TraceCounters,
-    /// Totals recorded with no span open.
-    pub unattributed: TraceCounters,
     /// Per-(scheme, op) aggregates over top-level op spans.
     pub ops: Vec<((String, String), OpAgg)>,
     /// Per-(scheme, phase) aggregates over phase sub-spans.
     pub phases: Vec<((String, String), OpAgg)>,
-    /// Per-session tallies, in session-id order.
-    pub sessions: Vec<SessionTally>,
+    /// Per-handle tallies, in handle-id order.
+    pub sources: Vec<SourceTally>,
     /// Most recent closed spans, oldest first.
     pub events: Vec<SpanEvent>,
 }
@@ -770,8 +603,6 @@ pub fn report() -> TraceReport {
         open_spans: t.open_spans,
         out_of_order_closes: t.out_of_order_closes,
         dropped_events: t.dropped_events,
-        attributed: t.attributed,
-        unattributed: t.unattributed,
         ops: t
             .ops
             .iter()
@@ -782,15 +613,10 @@ pub fn report() -> TraceReport {
             .iter()
             .map(|(&(s, l), agg)| ((s.to_string(), l.to_string()), agg.clone()))
             .collect(),
-        sessions: t
-            .sessions
+        sources: t
+            .sources
             .iter()
-            .map(|(&id, s)| SessionTally {
-                id,
-                label: s.label.to_string(),
-                open: s.open,
-                counters: s.counters,
-            })
+            .map(|(&id, &counters)| SourceTally { id, counters })
             .collect(),
         events: t.events.iter().cloned().collect(),
     })
@@ -847,7 +673,7 @@ impl TraceReport {
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
-        out.push_str("{\"schema\":\"boxes-trace/2\",\"ticks\":");
+        out.push_str("{\"schema\":\"boxes-trace/3\",\"ticks\":");
         out.push_str(&self.ticks.to_string());
         out.push_str(",\"open_spans\":");
         out.push_str(&self.open_spans.to_string());
@@ -855,10 +681,6 @@ impl TraceReport {
         out.push_str(&self.out_of_order_closes.to_string());
         out.push_str(",\"dropped_events\":");
         out.push_str(&self.dropped_events.to_string());
-        out.push_str(",\"attributed\":");
-        self.attributed.json_into(&mut out);
-        out.push_str(",\"unattributed\":");
-        self.unattributed.json_into(&mut out);
         out.push_str(",\"ops\":[");
         for (i, ((s, l), agg)) in self.ops.iter().enumerate() {
             if i > 0 {
@@ -873,17 +695,13 @@ impl TraceReport {
             }
             agg_json_into(s, l, agg, &mut out);
         }
-        out.push_str("],\"sessions\":[");
-        for (i, s) in self.sessions.iter().enumerate() {
+        out.push_str("],\"sources\":[");
+        for (i, s) in self.sources.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str("{\"id\":");
             out.push_str(&s.id.to_string());
-            out.push_str(",\"label\":\"");
-            json_escape_into(&s.label, &mut out);
-            out.push_str("\",\"open\":");
-            out.push_str(if s.open { "true" } else { "false" });
             out.push_str(",\"counters\":");
             s.counters.json_into(&mut out);
             out.push('}');
@@ -916,54 +734,26 @@ impl TraceReport {
         out.push_str("]}");
         out
     }
-
-    /// Render a short human-readable table of the op aggregates.
-    #[must_use]
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "trace: {} ticks, {} open span(s), attributed io {}, unattributed io {}\n",
-            self.ticks,
-            self.open_spans,
-            self.attributed.io_total(),
-            self.unattributed.io_total()
-        ));
-        out.push_str("scheme            op              count   io/op     max  reads  writes\n");
-        for ((scheme, label), agg) in &self.ops {
-            let per_op = if agg.count == 0 {
-                0.0
-            } else {
-                to_f64(agg.totals.io_total()) / to_f64(agg.count)
-            };
-            out.push_str(&format!(
-                "{scheme:<17} {label:<15} {:>6} {per_op:>7.2} {:>7} {:>6} {:>7}\n",
-                agg.count, agg.max_io, agg.totals.reads, agg.totals.writes
-            ));
-        }
-        out
-    }
-}
-
-fn to_f64(v: u64) -> f64 {
-    // Report rendering only; precision loss above 2^53 is irrelevant, and
-    // a float target keeps this outside the BX004 integer-cast rule.
-    v as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use boxes_pager::{Journal, JournalAck, JournalCounters, PagerConfig, TxnRecord};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
-    /// The registry is global now, so tests that reset and then assert on
-    /// its tallies must not interleave. Each test holds this lock for its
-    /// whole body (poison-recovering: a failed test must not wedge the
-    /// rest of the suite).
+    /// The aggregates and the event ring are global, so tests that open
+    /// spans must not interleave with tests that reset and then assert on
+    /// them. Each such test holds this lock for its whole body
+    /// (poison-recovering: a failed test must not wedge the rest of the
+    /// suite).
     fn serial() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
-        match LOCK.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        boxes_pager::lock_unpoisoned(&LOCK)
+    }
+
+    fn pager() -> SharedPager {
+        Pager::new(PagerConfig::with_block_size(64))
     }
 
     fn io(reads: u64, writes: u64) -> TraceCounters {
@@ -975,32 +765,45 @@ mod tests {
     }
 
     #[test]
-    fn unattributed_without_span() {
+    fn io_outside_spans_is_unattributed() {
         let _guard = serial();
-        reset();
-        record(Counter::BlockRead, 2);
-        assert_eq!(unattributed(), io(2, 0));
-        assert!(attributed().is_zero());
+        let p = pager();
+        let id = p.alloc();
+        p.read(id);
+        p.read(id);
+        assert_eq!(
+            unattributed(&p),
+            TraceCounters {
+                allocs: 1,
+                ..io(2, 0)
+            }
+        );
+        assert!(tally(&p).is_zero());
     }
 
     #[test]
-    fn innermost_span_owns_events_and_folds_into_parent() {
+    fn span_delta_includes_nested_phases() {
         let _guard = serial();
         reset();
+        let p = pager();
+        let id = p.alloc();
+        let block = [0u8; 64];
         {
-            let _op = OpSpan::op("W-BOX", "insert");
-            record(Counter::BlockRead, 1);
+            let _op = OpSpan::op(&p, "W-BOX", "insert");
+            p.read(id);
             {
-                let _p = OpSpan::phase("split");
-                record(Counter::BlockWrite, 3);
+                let _phase = OpSpan::phase(&p, "split");
+                for _ in 0..3 {
+                    p.write(id, &block);
+                }
             }
-            record(Counter::BlockWrite, 1);
+            p.write(id, &block);
         }
         let r = report();
         assert_eq!(r.open_spans, 0);
-        assert_eq!(attributed(), io(1, 4));
-        assert!(unattributed().is_zero());
-        // The op aggregate includes the folded-in phase counters.
+        assert_eq!(tally(&p), io(1, 4));
+        assert_eq!(unattributed(&p).allocs, 1);
+        // The op aggregate covers the phase's interval too.
         let (_, op_agg) = &r.ops[0];
         assert_eq!(op_agg.totals, io(1, 4));
         // The phase shows up under the inherited scheme tag.
@@ -1014,35 +817,80 @@ mod tests {
     }
 
     #[test]
-    fn identity_attributed_plus_unattributed() {
+    fn tally_plus_unattributed_is_the_pagers_count() {
         let _guard = serial();
-        reset();
-        record(Counter::Alloc, 1);
+        let p = pager();
+        let id = p.alloc();
         {
-            let _op = OpSpan::op("B-BOX", "delete");
-            record(Counter::BlockRead, 5);
-            record(Counter::Retry, 2);
+            let _op = OpSpan::op(&p, "B-BOX", "delete");
+            for _ in 0..5 {
+                p.read(id);
+            }
+            p.free(id);
         }
-        let mut total = attributed();
-        total.merge(&unattributed());
-        assert_eq!(total, observed());
+        let mut total = tally(&p);
+        total.merge(&unattributed(&p));
+        assert_eq!(total, counters(&p));
         assert_eq!(total.allocs, 1);
-        assert_eq!(total.reads, 5);
-        assert_eq!(total.retries, 2);
+        assert_eq!(tally(&p).reads, 5);
+        assert_eq!(tally(&p).frees, 1);
+        assert_eq!(open_spans(&p), 0);
+    }
+
+    /// Journal stub: every commit is durable and appends one record.
+    struct CountingJournal(AtomicU64);
+
+    impl Journal for CountingJournal {
+        fn commit(&self, _record: &TxnRecord) -> JournalAck {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            JournalAck::Durable
+        }
+
+        fn applied(&self) {}
+
+        fn counters(&self) -> JournalCounters {
+            JournalCounters {
+                appends: self.0.load(Ordering::SeqCst),
+                ..JournalCounters::default()
+            }
+        }
+    }
+
+    #[test]
+    fn journal_and_pool_counters_reach_the_span() {
+        let _guard = serial();
+        let journaled = pager();
+        journaled.attach_journal(Arc::new(CountingJournal(AtomicU64::new(0))));
+        {
+            let _op = OpSpan::op(&journaled, "W-BOX", "insert");
+            let _txn = journaled.txn();
+            journaled.alloc();
+        }
+        assert_eq!(tally(&journaled).wal_appends, 1);
+        assert_eq!(tally(&journaled).allocs, 1);
+
+        let pooled = Pager::new(PagerConfig::with_block_size(64).with_pool(2));
+        let id = pooled.alloc();
+        {
+            let _op = OpSpan::op(&pooled, "W-BOX", "lookup");
+            pooled.read(id);
+            pooled.read(id);
+        }
+        assert_eq!(tally(&pooled).reads, 1);
+        assert_eq!(tally(&pooled).cache_hits, 1);
     }
 
     #[test]
     fn ring_buffer_is_bounded() {
         let _guard = serial();
         reset();
-        set_event_capacity(4);
-        for _ in 0..10 {
-            let _s = OpSpan::op("LIDF", "read");
+        let p = pager();
+        for _ in 0..EVENT_CAPACITY + 6 {
+            let _s = OpSpan::op(&p, "LIDF", "read");
         }
         let r = report();
-        assert_eq!(r.events.len(), 4);
+        assert_eq!(r.events.len(), EVENT_CAPACITY);
         assert_eq!(r.dropped_events, 6);
-        set_event_capacity(DEFAULT_EVENT_CAPACITY);
     }
 
     #[test]
@@ -1059,102 +907,86 @@ mod tests {
     fn json_is_stable_and_wellformed() {
         let _guard = serial();
         reset();
+        let p = Pager::new(PagerConfig::with_block_size(64).with_pool(2));
+        let id = p.alloc();
         {
-            let _op = OpSpan::op("W-BOX", "lookup");
-            record(Counter::BlockRead, 2);
-            record(Counter::CacheHit, 1);
+            let _op = OpSpan::op(&p, "W-BOX", "lookup");
+            p.read(id);
+            p.read(id);
         }
         let a = report().to_json();
         let b = report().to_json();
         assert_eq!(a, b);
-        assert!(a.starts_with("{\"schema\":\"boxes-trace/2\""));
+        assert!(a.starts_with("{\"schema\":\"boxes-trace/3\""));
         assert!(a.contains("\"scheme\":\"W-BOX\""));
         assert!(a.contains("\"cache_hits\":1"));
-        assert!(a.contains("\"sessions\":["));
+        assert!(a.contains(&format!("\"sources\":[{{\"id\":{},", p.id())));
         assert_eq!(a.matches('{').count(), a.matches('}').count());
     }
 
     #[test]
-    fn session_owns_spans_and_bare_events_on_its_thread() {
+    fn handles_tally_separately_across_threads() {
         let _guard = serial();
-        reset();
-        let counters = {
-            let session = TraceSession::begin("reader");
-            assert!(session.id() > 0);
-            {
-                let _op = OpSpan::op("W-BOX", "lookup");
-                record(Counter::BlockRead, 3);
-                {
-                    let _p = OpSpan::phase("descend");
-                    record(Counter::CacheHit, 2);
+        let a = pager();
+        let id = a.alloc();
+        {
+            let _op = OpSpan::op(&a, "W-BOX", "insert");
+            a.write(id, &[1u8; 64]);
+            // Another thread's work on another handle, inside this span,
+            // lands in that handle's tally only.
+            let b_tally = std::thread::spawn(|| {
+                let b = pager();
+                let _op = OpSpan::op(&b, "W-BOX", "lookup");
+                let id = b.alloc();
+                b.read(id);
+                b.read(id);
+                drop(_op);
+                tally(&b)
+            })
+            .join()
+            .expect("reader thread");
+            assert_eq!(
+                b_tally,
+                TraceCounters {
+                    allocs: 1,
+                    ..io(2, 0)
                 }
-            }
-            // Span-less events on a bound thread still land in the
-            // session (and in the global unattributed tally).
-            record(Counter::WalSync, 1);
-            session.counters()
-        };
-        assert_eq!(counters.reads, 3);
-        assert_eq!(counters.cache_hits, 2);
-        assert_eq!(counters.wal_syncs, 1);
-        assert_eq!(unattributed().wal_syncs, 1);
-        let r = report();
-        assert_eq!(r.sessions.len(), 1);
-        assert_eq!(r.sessions[0].label, "reader");
-        assert!(!r.sessions[0].open);
-        assert_eq!(r.sessions[0].counters, counters);
+            );
+        }
+        assert_eq!(tally(&a), io(0, 1));
     }
 
     #[test]
-    fn sessions_partition_events_across_threads() {
+    fn nested_spans_on_one_handle_tally_once() {
         let _guard = serial();
-        reset();
-        let a = TraceSession::begin("writer");
+        let p = pager();
+        let id = p.alloc();
         {
-            let _op = OpSpan::op("W-BOX", "insert");
-            record(Counter::BlockWrite, 4);
+            let _op = OpSpan::op(&p, "W-BOX", "insert");
+            let _inner = OpSpan::op(&p, "W-BOX", "lookup");
+            let _phase = OpSpan::phase(&p, "lidf");
+            p.read(id);
+            assert_eq!(open_spans(&p), 3);
         }
-        let b_id = std::thread::spawn(|| {
-            let b = TraceSession::begin("reader");
-            let _op = OpSpan::op("W-BOX", "lookup");
-            record(Counter::BlockRead, 2);
-            b.id()
-        })
-        .join()
-        .expect("reader thread");
-        assert_eq!(a.counters(), io(0, 4));
-        assert_eq!(session_counters(b_id), Some(io(2, 0)));
-        // Global identity still closes across both sessions.
-        assert_eq!(observed(), io(2, 4));
-        assert_eq!(open_spans(), 0);
-    }
-
-    #[test]
-    fn unbound_threads_tally_to_no_session() {
-        let _guard = serial();
-        reset();
-        {
-            let _op = OpSpan::op("LIDF", "read");
-            record(Counter::BlockRead, 1);
-        }
-        let r = report();
-        assert!(r.sessions.is_empty());
-        assert_eq!(attributed(), io(1, 0));
+        assert_eq!(tally(&p), io(1, 0));
+        assert_eq!(open_spans(&p), 0);
     }
 
     #[test]
     fn out_of_order_close_is_tolerated() {
         let _guard = serial();
         reset();
-        let a = OpSpan::op("W-BOX", "a");
-        let b = OpSpan::op("W-BOX", "b");
-        record(Counter::BlockRead, 1);
+        let p = pager();
+        let id = p.alloc();
+        let a = OpSpan::op(&p, "W-BOX", "a");
+        let b = OpSpan::op(&p, "W-BOX", "b");
+        p.read(id);
         drop(a);
-        record(Counter::BlockWrite, 1);
+        p.write(id, &[0u8; 64]);
         drop(b);
         let r = report();
         assert_eq!(r.open_spans, 0);
         assert_eq!(r.out_of_order_closes, 1);
-        assert_eq!(observed(), io(1, 1));
+        assert_eq!(open_spans(&p), 0);
     }
 }

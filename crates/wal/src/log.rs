@@ -35,7 +35,9 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use boxes_pager::codec;
-use boxes_pager::{lock_unpoisoned, BlockId, Journal, JournalAck, TxnFrame, TxnRecord};
+use boxes_pager::{
+    lock_unpoisoned, BlockId, Journal, JournalAck, JournalCounters, TxnFrame, TxnRecord,
+};
 
 use crate::crashpoint::CrashClock;
 use crate::frame::{self, Record, RecordKind};
@@ -92,6 +94,8 @@ struct WalInner {
     batches_since_ckpt: u64,
     fold: BTreeMap<String, Vec<u8>>,
     stats: WalStats,
+    /// Block images rebuilt for read-repair ([`Journal::counters`]).
+    replays: u64,
 }
 
 /// A write-ahead log implementing the pager's [`Journal`] hook, generic
@@ -164,6 +168,7 @@ impl Wal {
                 batches_since_ckpt: 0,
                 fold: BTreeMap::new(),
                 stats: WalStats::default(),
+                replays: 0,
             }),
         })
     }
@@ -211,7 +216,6 @@ impl Wal {
         match inner.store.sync() {
             Ok(()) => {
                 inner.stats.syncs += 1;
-                boxes_trace::record(boxes_trace::Counter::WalSync, 1);
                 inner.commits_since_sync = 0;
                 JournalAck::Durable
             }
@@ -260,7 +264,6 @@ impl Journal for Wal {
         inner.stats.records += 1;
         inner.stats.frames += codec::usize_to_u64(rec.frames.len());
         inner.stats.appended_bytes += codec::usize_to_u64(bytes.len());
-        boxes_trace::record(boxes_trace::Counter::WalAppend, 1);
         if inner.store.append(&bytes).is_err() {
             // The record may be partially on the medium: poison — the
             // decoder will roll the torn tail back at recovery.
@@ -358,7 +361,6 @@ impl Journal for Wal {
         }
         inner.stats.appended_bytes += codec::usize_to_u64(bytes.len());
         inner.stats.checkpoints += 1;
-        boxes_trace::record(boxes_trace::Counter::WalCheckpoint, 1);
         inner.batches_since_ckpt = 0;
     }
 
@@ -367,12 +369,22 @@ impl Journal for Wal {
         // unsynced images (the pager's overlay serves those), so the
         // durable log — checkpoint images plus redo replay — is exactly
         // the right reconstruction source.
-        let inner = lock_unpoisoned(&self.inner);
+        let mut inner = lock_unpoisoned(&self.inner);
         let durable = inner.store.durable().ok()?;
         let image = crate::repair::latest_image(&durable, self.block_size, id);
         if image.is_some() {
-            boxes_trace::record(boxes_trace::Counter::WalReplay, 1);
+            inner.replays += 1;
         }
         image
+    }
+
+    fn counters(&self) -> JournalCounters {
+        let inner = lock_unpoisoned(&self.inner);
+        JournalCounters {
+            appends: inner.stats.records,
+            syncs: inner.stats.syncs,
+            checkpoints: inner.stats.checkpoints,
+            replays: inner.replays,
+        }
     }
 }

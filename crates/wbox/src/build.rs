@@ -47,7 +47,7 @@ impl WBox {
     /// Bulk load `count` fresh labels into an empty W-BOX in document
     /// order. O(N/B) I/Os. Returns the LIDs in order.
     pub fn bulk_load(&mut self, count: usize) -> Vec<Lid> {
-        let _span = OpSpan::op(self.trace_tag(), "bulk_load");
+        let _span = OpSpan::op(self.pager(), self.trace_tag(), "bulk_load");
         self.journaled(|t| t.bulk_load_impl(count, None))
     }
 
@@ -59,7 +59,7 @@ impl WBox {
             self.config().pair,
             "bulk_load_pairs requires pair optimization"
         );
-        let _span = OpSpan::op(self.trace_tag(), "bulk_load");
+        let _span = OpSpan::op(self.pager(), self.trace_tag(), "bulk_load");
         self.journaled(|t| t.bulk_load_impl(partner_of.len(), Some(partner_of)))
     }
 
@@ -120,7 +120,7 @@ impl WBox {
     /// Rebuild the entire structure from its live records — §4's global
     /// rebuilding, triggered after N/2 deletions. O(N/B) I/Os.
     pub(crate) fn global_rebuild(&mut self) {
-        let _phase = OpSpan::phase("rebuild");
+        let _phase = OpSpan::phase(self.pager(), "rebuild");
         self.bump_counter(|c| c.global_rebuilds += 1);
         self.note_relabel(0, u64::MAX);
         let mut records = Vec::with_capacity(self.len() as usize);

@@ -186,7 +186,7 @@ impl WBox {
             self.config().pair,
             "pair_lookup requires WBoxConfig::with_pair_optimization"
         );
-        let _span = boxes_trace::OpSpan::op(self.trace_tag(), "pair_lookup");
+        let _span = boxes_trace::OpSpan::op(self.pager(), self.trace_tag(), "pair_lookup");
         let block = self.lidf_ref().read(start_lid).block;
         let node = self.read_node(block);
         let pos = node.position_of_lid(start_lid);

@@ -75,7 +75,7 @@ impl WBox {
     /// Create an empty W-BOX on the shared pager.
     pub fn new(pager: SharedPager, config: WBoxConfig) -> Self {
         config.validate();
-        let _span = OpSpan::op(tag_for(&config), "open");
+        let _span = OpSpan::op(&pager, tag_for(&config), "open");
         assert!(
             config.internal_node_bytes() <= pager.block_size()
                 && config.leaf_node_bytes() <= pager.block_size(),
@@ -116,7 +116,7 @@ impl WBox {
     /// the recovered checkpoint timestamp.
     pub fn reopen(pager: SharedPager, config: WBoxConfig, state: &[u8], lidf_state: &[u8]) -> Self {
         config.validate();
-        let _span = OpSpan::op(tag_for(&config), "open");
+        let _span = OpSpan::op(&pager, tag_for(&config), "open");
         let lidf = Lidf::reopen(pager.clone(), lidf_state);
         let mut r = boxes_pager::Reader::new(state);
         let root = BlockId(r.u32());
@@ -291,7 +291,7 @@ impl WBox {
     /// Label of `lid`: one LIDF I/O plus **one** index I/O (Theorem 4.5).
     /// The leaf-ordinal rule makes the label `range_lo + position`.
     pub fn lookup(&self, lid: Lid) -> u64 {
-        let _span = OpSpan::op(self.trace_tag(), "lookup");
+        let _span = OpSpan::op(&self.pager, self.trace_tag(), "lookup");
         let leaf_id = self.lidf.read(lid).block;
         let leaf = self.read_node(leaf_id);
         leaf.range_lo() + leaf.position_of_lid(lid) as u64
@@ -305,7 +305,7 @@ impl WBox {
             self.config.ordinal,
             "ordinal lookup requires WBoxConfig::with_ordinal"
         );
-        let _span = OpSpan::op(self.trace_tag(), "ordinal");
+        let _span = OpSpan::op(&self.pager, self.trace_tag(), "ordinal");
         let label = self.lookup(lid);
         let mut count = 0u64;
         for step in self.descend(label) {
@@ -373,7 +373,7 @@ impl WBox {
 
     /// Insert the very first label into an empty W-BOX.
     pub fn insert_first(&mut self) -> Lid {
-        let _span = OpSpan::op(self.trace_tag(), "insert");
+        let _span = OpSpan::op(&self.pager, self.trace_tag(), "insert");
         self.journaled(|t| t.insert_first_impl())
     }
 
@@ -394,7 +394,7 @@ impl WBox {
     /// Insert a new label immediately before `lid_old`. Returns the new
     /// LID. Amortized O(log_B N) I/Os (Theorem 4.6).
     pub fn insert_before(&mut self, lid_old: Lid) -> Lid {
-        let _span = OpSpan::op(self.trace_tag(), "insert");
+        let _span = OpSpan::op(&self.pager, self.trace_tag(), "insert");
         self.journaled(|t| t.insert_before_impl(lid_old))
     }
 
@@ -476,7 +476,7 @@ impl WBox {
     /// `lid`, per §3: end label first, then start before it. In pair mode
     /// the two records are cross-linked afterwards.
     pub fn insert_element_before(&mut self, lid: Lid) -> (Lid, Lid) {
-        let _span = OpSpan::op(self.trace_tag(), "insert_element");
+        let _span = OpSpan::op(&self.pager, self.trace_tag(), "insert_element");
         self.journaled(|t| {
             let end = t.insert_before_impl(lid);
             let start = t.insert_before_impl(end);
@@ -528,7 +528,7 @@ impl WBox {
     /// if one exists, otherwise respace all of the parent's children and
     /// relabel the parent's entire subtree.
     fn split(&mut self, parent: &PathStep, victim: &PathStep) {
-        let _phase = OpSpan::phase("split");
+        let _phase = OpSpan::phase(&self.pager, "split");
         let level = victim.level;
         let vpos = parent.child_pos; // victim's entry within the parent
         let j = parent.node.entries()[vpos].subrange;
@@ -674,7 +674,7 @@ impl WBox {
         } else {
             // Worst case: respace every child of the parent with equally
             // spaced subranges and relabel the whole subtree below it.
-            let _respace = OpSpan::phase("respace");
+            let _respace = OpSpan::phase(&self.pager, "respace");
             self.counters.respace_splits += 1;
             let new_id = self.pager.alloc();
             let mut left = left;
@@ -728,7 +728,7 @@ impl WBox {
     /// equally spaced subranges and every leaf's `range_lo` is rewritten.
     /// Leaves keep their blocks, so no LIDF maintenance is needed here.
     pub(crate) fn relabel_subtree(&mut self, id: BlockId, level: usize, new_lo: u64) {
-        let _phase = OpSpan::phase("relabel");
+        let _phase = OpSpan::phase(&self.pager, "relabel");
         self.note_relabel(new_lo, new_lo + self.config.range_len(level) - 1);
         let mut node = self.read_node(id);
         match &mut node {
@@ -776,7 +776,7 @@ impl WBox {
     /// reclaimed. O(1) I/Os amortized; every N/2 deletions trigger a global
     /// rebuild. Ordinal mode pays an extra O(log_B N) descent for sizes.
     pub fn delete(&mut self, lid: Lid) {
-        let _span = OpSpan::op(self.trace_tag(), "delete");
+        let _span = OpSpan::op(&self.pager, self.trace_tag(), "delete");
         self.journaled(|t| t.delete_impl(lid));
     }
 

@@ -1,11 +1,12 @@
 //! Property test of the `boxes-trace` accounting identity: under arbitrary
 //! operation sequences — with and without an injected fault plan — the
-//! trace layer's attributed-plus-unattributed counters must agree
-//! field-for-field with the pager's own [`IoStats`] delta, and nothing a
-//! scheme hot path does may land unattributed (every public entry point
-//! opens a span, so the innermost-span rule attributes everything,
-//! including the retries, repairs and backoff ticks the fault service
-//! generates mid-operation).
+//! span tally of the pager under test must agree field-for-field with the
+//! pager's own [`IoStats`] delta, and nothing a scheme hot path does may
+//! land unattributed (every public entry point opens a span on the
+//! scheme's pager, so its spans cover everything, including the retries,
+//! repairs and backoff ticks the fault service generates mid-operation).
+//! Tallies are per pager, so the identity holds however the test harness
+//! schedules other tests' pagers on other threads.
 
 use boxes_core::bbox::{BBox, BBoxConfig};
 use boxes_core::pager::{
@@ -15,6 +16,8 @@ use boxes_core::wal::{Wal, WalConfig};
 use boxes_core::wbox::{WBox, WBoxConfig};
 use boxes_trace as trace;
 use proptest::prelude::*;
+use std::panic::AssertUnwindSafe;
+use std::sync::{Arc, Barrier};
 
 const BS: usize = 512;
 
@@ -46,8 +49,8 @@ struct Mark {
 
 fn mark(pager: &SharedPager) -> Mark {
     Mark {
-        attributed: trace::attributed(),
-        unattributed: trace::unattributed(),
+        attributed: trace::tally(pager),
+        unattributed: trace::unattributed(pager),
         stats: pager.stats(),
     }
 }
@@ -56,12 +59,12 @@ fn mark(pager: &SharedPager) -> Mark {
 /// (pager stats delta) on the seven shared counters and the unattributed
 /// side did not move.
 fn check(label: &str, pager: &SharedPager, before: &Mark) {
-    let un = trace::unattributed().since(&before.unattributed);
+    let un = trace::unattributed(pager).since(&before.unattributed);
     assert!(
         un.is_zero(),
         "{label}: scheme hot path recorded I/O outside any span: {un:?}"
     );
-    let attr = trace::attributed().since(&before.attributed);
+    let attr = trace::tally(pager).since(&before.attributed);
     let delta = pager.stats().since(&before.stats);
     let pairs = [
         ("reads", attr.reads, delta.reads),
@@ -78,7 +81,7 @@ fn check(label: &str, pager: &SharedPager, before: &Mark) {
             "{label}: identity broken on `{name}` (trace {traced} vs pager {counted})"
         );
     }
-    assert_eq!(trace::open_spans(), 0, "{label}: leaked spans");
+    assert_eq!(trace::open_spans(pager), 0, "{label}: leaked spans");
 }
 
 /// Run a script against a W-BOX on `pager`, checking the identity after
@@ -178,5 +181,60 @@ proptest! {
             }
             check("bbox/op", &pager, &before);
         }
+    }
+}
+
+/// Four threads, each with its own pager and W-BOX, run the same script in
+/// lock step: a barrier before every op makes the ops overlap, and each
+/// thread checks the identity on its own pager after every op. Another
+/// thread's I/O must never show up in this pager's identity.
+#[test]
+fn identity_holds_with_concurrent_pagers() {
+    const THREADS: usize = 4;
+    const OPS: usize = 200;
+    let barrier = Arc::new(Barrier::new(THREADS));
+    let workers: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let mut waits = 0;
+                let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    let mut sync = || {
+                        barrier.wait();
+                        waits += 1;
+                    };
+                    let pager = Pager::new(PagerConfig::with_block_size(BS));
+                    sync();
+                    let before = mark(&pager);
+                    let mut w = WBox::new(pager.clone(), WBoxConfig::from_block_size(BS));
+                    let mut lids = w.bulk_load(60);
+                    check("concurrent/bulk_load", &pager, &before);
+                    for i in 0..OPS {
+                        sync();
+                        let before = mark(&pager);
+                        let pick = (i * 7 + t) % lids.len();
+                        match i % 3 {
+                            0 => lids.push(w.insert_before(lids[pick])),
+                            1 if lids.len() > 4 => w.delete(lids.swap_remove(pick)),
+                            _ => {
+                                w.lookup(lids[pick]);
+                            }
+                        }
+                        check("concurrent/op", &pager, &before);
+                    }
+                }));
+                // A failed thread keeps meeting the barrier, so the others
+                // finish and the test fails instead of hanging.
+                for _ in waits..=OPS {
+                    barrier.wait();
+                }
+                if let Err(payload) = run {
+                    std::panic::resume_unwind(payload);
+                }
+            })
+        })
+        .collect();
+    for worker in workers {
+        worker.join().expect("no worker broke the identity");
     }
 }

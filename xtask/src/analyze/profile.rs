@@ -1,22 +1,24 @@
 //! The profile/attribution pass: replay seeded workloads through every
 //! scheme with the `boxes-trace` layer live and enforce the **accounting
 //! identity** — every block read/write/alloc/free (and every fault-service
-//! retry, repair and backoff tick) the pager counted must be attributed to
-//! some open operation span. An unattributed I/O means a scheme hot path
-//! reached the pager outside any span, i.e. the observability wiring has a
-//! hole; the gate fails.
+//! retry, repair and backoff tick) the pager counted must fall inside some
+//! operation span opened on that pager. Spans read the pager's own
+//! counters, so the check is structural: a handle's span tally must equal
+//! its counter delta. An unattributed I/O means a scheme hot path reached
+//! the pager outside any span, i.e. the observability wiring has a hole;
+//! the gate fails.
 //!
 //! The identity is also enforced with **concurrent sessions**: eight
-//! snapshot readers (each a `boxes-session` reader with its own trace
-//! session) perform fixed lookups while the writer streams — per-session
-//! attributed counters plus unattributed must equal the pager I/O delta
-//! (base pager + every snapshot view) exactly.
+//! snapshot readers (each a `boxes-session` reader on its own view pager)
+//! perform fixed lookups while the writer streams — the span tallies of
+//! the base pager and every snapshot view must equal those handles' I/O
+//! deltas exactly, and together account for everything traced in the leg.
 //!
 //! The pass also writes two deterministic artifacts:
 //!
-//! * `target/trace-report.json` — the `boxes-trace/2` span/counter report
+//! * `target/trace-report.json` — the `boxes-trace/3` span/counter report
 //!   aggregated over every profiled leg (per-op I/O histograms, phase
-//!   totals, per-session tallies, the attribution split);
+//!   totals, per-handle tallies);
 //! * `target/BENCH_boxes.json` — the `boxes-bench/2` perf trajectory for a
 //!   reduced lineup (per-op distributions, amortized windows, and the
 //!   multithreaded `concurrent_lookup` scaling rows).
@@ -43,33 +45,51 @@ use boxes_trace as trace;
 /// surfaces as an operation failure.
 const BUDGET: u32 = 8;
 
-/// Snapshot of the trace attribution split, for leg-wise deltas.
+/// The trace side of the identity for a set of pager handles: what their
+/// spans measured, what they counted outside any span, and how many spans
+/// are open on them.
 struct TraceMark {
     attributed: trace::TraceCounters,
     unattributed: trace::TraceCounters,
+    open_spans: usize,
 }
 
-fn mark() -> TraceMark {
+fn mark(pager: &Pager) -> TraceMark {
     TraceMark {
-        attributed: trace::attributed(),
-        unattributed: trace::unattributed(),
+        attributed: trace::tally(pager),
+        unattributed: trace::unattributed(pager),
+        open_spans: trace::open_spans(pager),
     }
 }
 
-/// Enforce the identity for one leg: between `before` and now,
+impl TraceMark {
+    /// Fold another handle's mark into this one.
+    fn merge(&mut self, other: &TraceMark) {
+        self.attributed.merge(&other.attributed);
+        self.unattributed.merge(&other.unattributed);
+        self.open_spans += other.open_spans;
+    }
+}
+
+/// Enforce the identity for one leg: between `before` and `after`,
 ///
-/// 1. nothing was recorded outside a span (`unattributed` did not move);
-/// 2. the attributed counters agree field-for-field with the pager's own
+/// 1. nothing was counted outside a span (`unattributed` did not move);
+/// 2. the attributed counters agree field-for-field with the pagers' own
 ///    [`IoStats`] delta on the seven shared counters;
 /// 3. every span was closed (RAII discipline — no leaks).
-fn check_identity(label: &str, before: &TraceMark, pager_delta: IoStats) -> Result<(), String> {
-    let un = trace::unattributed().since(&before.unattributed);
+fn check_identity(
+    label: &str,
+    before: &TraceMark,
+    after: &TraceMark,
+    pager_delta: IoStats,
+) -> Result<(), String> {
+    let un = after.unattributed.since(&before.unattributed);
     if !un.is_zero() {
         return Err(format!(
             "{label}: unattributed I/O (hot path outside any span): {un:?}"
         ));
     }
-    let attr = trace::attributed().since(&before.attributed);
+    let attr = after.attributed.since(&before.attributed);
     let pairs: [(&str, u64, u64); 7] = [
         ("reads", attr.reads, pager_delta.reads),
         ("writes", attr.writes, pager_delta.writes),
@@ -91,10 +111,10 @@ fn check_identity(label: &str, before: &TraceMark, pager_delta: IoStats) -> Resu
             ));
         }
     }
-    if trace::open_spans() != 0 {
+    if after.open_spans != 0 {
         return Err(format!(
             "{label}: {} span(s) left open after the leg (RAII leak)",
-            trace::open_spans()
+            after.open_spans
         ));
     }
     Ok(())
@@ -110,7 +130,7 @@ fn profile_stream<S: LabelingScheme>(
     scheme: S,
     stream: &UpdateStream,
 ) -> Result<(), String> {
-    let before = mark();
+    let before = mark(&pager);
     let stats0 = pager.stats();
     let mut driver = DocumentDriver::load(scheme, &stream.base);
     for op in &stream.ops {
@@ -120,7 +140,7 @@ fn profile_stream<S: LabelingScheme>(
     if delta.total() == 0 {
         return Err(format!("{label}: leg did no I/O — identity check vacuous"));
     }
-    check_identity(label, &before, delta)
+    check_identity(label, &before, &mark(&pager), delta)
 }
 
 /// Journaled pager for the profiled legs (WAL attached so commit/sync and
@@ -140,8 +160,8 @@ fn journaled_pager(block_size: usize) -> SharedPager {
 /// Standalone LIDF leg: the allocator's own phase spans must attribute all
 /// of its I/O even when no scheme-level op span is open.
 fn profile_lidf(seed: u64) -> Result<(), String> {
-    let before = mark();
     let pager = Pager::new(PagerConfig::with_block_size(256).with_pool(4));
+    let before = mark(&pager);
     let stats0 = pager.stats();
     let mut lidf: Lidf<BlockPtrRecord> = Lidf::new(pager.clone());
     let mut lids = Vec::new();
@@ -174,7 +194,7 @@ fn profile_lidf(seed: u64) -> Result<(), String> {
     if delta.total() == 0 {
         return Err("lidf: leg did no I/O — identity check vacuous".into());
     }
-    check_identity("lidf", &before, delta)
+    check_identity("lidf", &before, &mark(&pager), delta)
 }
 
 /// Faulty leg: in-budget transient errors, latency stalls and bit rot over
@@ -185,8 +205,8 @@ fn profile_lidf(seed: u64) -> Result<(), String> {
 fn profile_faulty(seed: u64) -> Result<(), String> {
     let block_size = 1024;
     for derivation in 0..8u64 {
-        let before = mark();
         let pager = journaled_pager(block_size);
+        let before = mark(&pager);
         let plan = FaultPlan::new(FaultPlanConfig {
             read_error_rate: 3000,
             write_error_rate: 3000,
@@ -210,7 +230,7 @@ fn profile_faulty(seed: u64) -> Result<(), String> {
             driver.apply(op);
         }
         let delta = pager.stats().since(&stats0);
-        check_identity("faulty/wbox", &before, delta)?;
+        check_identity("faulty/wbox", &before, &mark(&pager), delta)?;
         // The leg is only meaningful if the plan actually made the fault
         // counters move; a quiet roll retries with a derived seed.
         if delta.retries > 0 && delta.repairs > 0 {
@@ -218,6 +238,15 @@ fn profile_faulty(seed: u64) -> Result<(), String> {
         }
     }
     Err("faulty/wbox: no derivation produced both retries and repairs".into())
+}
+
+/// The tallies of every handle the tracer has seen, summed.
+fn traced_total() -> trace::TraceCounters {
+    let mut total = trace::TraceCounters::default();
+    for source in trace::report().sources {
+        total.merge(&source.counters);
+    }
+    total
 }
 
 /// Sum the seven shared counters of two [`IoStats`] deltas.
@@ -257,11 +286,11 @@ impl Relay {
 /// Concurrent-session leg: eight reader threads hold open snapshot
 /// sessions — all live at once for the entire leg — and each performs a
 /// fixed lookup batch per relay round while the writer session streams
-/// inserts on this thread. The accounting identity must hold *with
-/// per-session attribution*: nothing lands unattributed, the attributed
-/// delta equals the base pager's delta plus every snapshot view's own
-/// delta, and the session tallies sum exactly to the attributed delta.
-/// The relay keeps trace ticks deterministic, so the leg's spans land
+/// inserts on this thread. The accounting identity must hold *per
+/// handle*: nothing lands unattributed, the tallies of the base pager and
+/// every snapshot view equal those handles' I/O deltas, and together they
+/// are everything any handle's spans measured during the leg. The relay
+/// keeps trace ticks and pager ids deterministic, so the leg's spans land
 /// byte-stably in `trace-report.json`.
 fn profile_sessions() -> Result<(), String> {
     const READERS: usize = 8;
@@ -281,10 +310,9 @@ fn profile_sessions() -> Result<(), String> {
         lids
     };
 
-    let before = mark();
+    let before = mark(manager.pager());
+    let traced0 = traced_total();
     let base0 = manager.pager().stats();
-    // Claim the writer before spawning readers so trace-session creation
-    // order (hence the report's session ids) is deterministic.
     let mut writer = manager.writer().map_err(|e| e.to_string())?;
     let relay = Arc::new(Relay {
         turn: std::sync::atomic::AtomicU64::new(0),
@@ -294,13 +322,12 @@ fn profile_sessions() -> Result<(), String> {
             let manager = Arc::clone(&manager);
             let relay = Arc::clone(&relay);
             let lids = lids.clone();
-            std::thread::spawn(move || -> Result<(IoStats, trace::TraceCounters), String> {
+            std::thread::spawn(move || -> Result<(IoStats, TraceMark), String> {
                 // Turn r of round 0: open this reader's session. It
                 // stays open across every later round, so all eight
                 // sessions (plus the writer) are live concurrently.
                 relay.wait_for(r as u64);
                 let snap = manager.snapshot().map_err(|e| e.to_string())?;
-                snap.bind_current_thread();
                 relay.advance();
                 for round in 1..=ROUNDS {
                     relay.wait_for(round * PARTIES + r as u64);
@@ -309,7 +336,8 @@ fn profile_sessions() -> Result<(), String> {
                     }
                     relay.advance();
                 }
-                Ok((snap.io(), snap.trace().counters()))
+                // The view is new, so its whole mark is the leg's delta.
+                Ok((snap.io(), mark(snap.pager())))
             })
         })
         .collect();
@@ -328,23 +356,24 @@ fn profile_sessions() -> Result<(), String> {
         }
         relay.advance();
     }
-    let mut session_sum = writer.trace().counters();
     drop(writer);
 
+    let mut after = mark(manager.pager());
     let mut pager_delta = manager.pager().stats().since(&base0);
     for handle in readers {
-        let (io, tally) = handle
+        let (io, view) = handle
             .join()
             .map_err(|_| "reader thread panicked".to_string())??;
         add_stats(&mut pager_delta, &io);
-        session_sum.merge(&tally);
+        after.merge(&view);
     }
-    check_identity("sessions/wbox-readers", &before, pager_delta)?;
-    let attributed = trace::attributed().since(&before.attributed);
-    if attributed != session_sum {
+    check_identity("sessions/wbox-readers", &before, &after, pager_delta)?;
+    let handles = after.attributed.since(&before.attributed);
+    let traced = traced_total().since(&traced0);
+    if handles != traced {
         return Err(format!(
-            "sessions/wbox-readers: per-session tallies do not sum to the \
-             attributed delta: sessions {session_sum:?}, attributed {attributed:?}"
+            "sessions/wbox-readers: the per-handle tallies do not sum to \
+             everything traced in the leg: handles {handles:?}, traced {traced:?}"
         ));
     }
     Ok(())
@@ -384,7 +413,6 @@ where
                 let lids = lids.clone();
                 std::thread::spawn(move || -> Result<u64, String> {
                     let snap = manager.snapshot().map_err(|e| e.to_string())?;
-                    snap.bind_current_thread();
                     barrier.wait();
                     let io0 = snap.io().total();
                     for i in 0..usize::try_from(LOOKUPS).unwrap_or(0) {
@@ -548,7 +576,7 @@ pub(crate) fn profile_lint(seed: u64, root: &Path) -> bool {
     checks.push(("lidf/standalone".into(), profile_lidf(seed)));
     checks.push(("faulty/wbox".into(), profile_faulty(seed)));
 
-    // Concurrent sessions: the identity with four live snapshot readers.
+    // Concurrent sessions: the identity with eight live snapshot readers.
     checks.push(("sessions/wbox-readers".into(), profile_sessions()));
 
     let mut ok = true;
