@@ -170,6 +170,7 @@ impl fmt::Display for Violation {
 
 /// The outcome of one audit pass: every violation found, in discovery order.
 #[derive(Clone, Debug, Default)]
+#[must_use = "a dropped audit report is a skipped invariant check"]
 pub struct AuditReport {
     violations: Vec<Violation>,
 }
@@ -251,7 +252,6 @@ impl fmt::Display for AuditReport {
 pub trait Auditable {
     /// Inspect every invariant and report all violations found. Must not
     /// panic, even when the underlying storage is corrupted.
-    #[must_use]
     fn audit(&self) -> AuditReport;
 }
 

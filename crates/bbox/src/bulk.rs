@@ -137,6 +137,10 @@ impl BBox {
             level = next;
             height += 1;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the bulk-load pyramid is seeded with the leaf level, so last() is Some by construction"
+        )]
         let (root, node, _) = level.pop().expect("at least one node");
         self.write_node(root, &node);
         (root, height, lids)

@@ -17,18 +17,18 @@ use boxes_pager::codec::{usize_to_u16, usize_to_u64};
 use boxes_pager::{BlockId, Reader, Writer};
 
 /// Bytes of the common node header.
-pub const HEADER_SIZE: usize = 7;
+pub(crate) const HEADER_SIZE: usize = 7;
 /// Bytes per leaf entry (a LID).
-pub const LEAF_ENTRY_SIZE: usize = 8;
+pub(crate) const LEAF_ENTRY_SIZE: usize = 8;
 /// Bytes per internal entry (child pointer + size field).
-pub const INTERNAL_ENTRY_SIZE: usize = 12;
+pub(crate) const INTERNAL_ENTRY_SIZE: usize = 12;
 
 const KIND_LEAF: u8 = 0;
 const KIND_INTERNAL: u8 = 1;
 
 /// One child entry of an internal node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChildEntry {
+pub(crate) struct ChildEntry {
     /// The child block.
     pub child: BlockId,
     /// Records below this child (maintained only in ordinal mode).
@@ -37,7 +37,7 @@ pub struct ChildEntry {
 
 /// Decoded B-BOX node.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Node {
+pub(crate) enum Node {
     /// Leaf: ordered list of LIDs.
     Leaf {
         /// Back-link to the parent (INVALID for the root).
@@ -56,7 +56,7 @@ pub enum Node {
 
 impl Node {
     /// Empty leaf.
-    pub fn leaf(parent: BlockId) -> Self {
+    pub(crate) fn leaf(parent: BlockId) -> Self {
         Node::Leaf {
             parent,
             lids: Vec::new(),
@@ -64,7 +64,7 @@ impl Node {
     }
 
     /// Entry count.
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         match self {
             Node::Leaf { lids, .. } => lids.len(),
             Node::Internal { entries, .. } => entries.len(),
@@ -72,58 +72,78 @@ impl Node {
     }
 
     /// Back-link.
-    pub fn parent(&self) -> BlockId {
+    pub(crate) fn parent(&self) -> BlockId {
         match self {
             Node::Leaf { parent, .. } | Node::Internal { parent, .. } => *parent,
         }
     }
 
     /// Set the back-link.
-    pub fn set_parent(&mut self, p: BlockId) {
+    pub(crate) fn set_parent(&mut self, p: BlockId) {
         match self {
             Node::Leaf { parent, .. } | Node::Internal { parent, .. } => *parent = p,
         }
     }
 
     /// Whether this is a leaf.
-    pub fn is_leaf(&self) -> bool {
+    pub(crate) fn is_leaf(&self) -> bool {
         matches!(self, Node::Leaf { .. })
     }
 
     /// Leaf LIDs (panics on internal nodes).
-    pub fn lids(&self) -> &Vec<Lid> {
+    pub(crate) fn lids(&self) -> &Vec<Lid> {
         match self {
             Node::Leaf { lids, .. } => lids,
+            #[expect(
+                clippy::panic,
+                reason = "node-kind projections and decode are documented contract panics; auditors use try_decode"
+            )]
             _ => panic!("expected a leaf"),
         }
     }
 
     /// Mutable leaf LIDs (panics on internal nodes).
-    pub fn lids_mut(&mut self) -> &mut Vec<Lid> {
+    pub(crate) fn lids_mut(&mut self) -> &mut Vec<Lid> {
         match self {
             Node::Leaf { lids, .. } => lids,
+            #[expect(
+                clippy::panic,
+                reason = "node-kind projections and decode are documented contract panics; auditors use try_decode"
+            )]
             _ => panic!("expected a leaf"),
         }
     }
 
     /// Internal entries (panics on leaves).
-    pub fn entries(&self) -> &Vec<ChildEntry> {
+    pub(crate) fn entries(&self) -> &Vec<ChildEntry> {
         match self {
             Node::Internal { entries, .. } => entries,
+            #[expect(
+                clippy::panic,
+                reason = "node-kind projections and decode are documented contract panics; auditors use try_decode"
+            )]
             _ => panic!("expected an internal node"),
         }
     }
 
     /// Mutable internal entries (panics on leaves).
-    pub fn entries_mut(&mut self) -> &mut Vec<ChildEntry> {
+    pub(crate) fn entries_mut(&mut self) -> &mut Vec<ChildEntry> {
         match self {
             Node::Internal { entries, .. } => entries,
+            #[expect(
+                clippy::panic,
+                reason = "node-kind projections and decode are documented contract panics; auditors use try_decode"
+            )]
             _ => panic!("expected an internal node"),
         }
     }
 
     /// Position of a LID in a leaf.
-    pub fn position_of_lid(&self, lid: Lid) -> usize {
+    pub(crate) fn position_of_lid(&self, lid: Lid) -> usize {
+        #[expect(
+            clippy::panic,
+            reason = "node-kind projections and decode are documented contract panics; auditors use try_decode"
+        )]
         self.lids()
             .iter()
             .position(|&l| l == lid)
@@ -131,7 +151,11 @@ impl Node {
     }
 
     /// Position of a child in an internal node.
-    pub fn position_of_child(&self, child: BlockId) -> usize {
+    pub(crate) fn position_of_child(&self, child: BlockId) -> usize {
+        #[expect(
+            clippy::panic,
+            reason = "node-kind projections and decode are documented contract panics; auditors use try_decode"
+        )]
         self.entries()
             .iter()
             .position(|e| e.child == child)
@@ -139,7 +163,7 @@ impl Node {
     }
 
     /// Total of the size fields (ordinal mode).
-    pub fn size_sum(&self) -> u64 {
+    pub(crate) fn size_sum(&self) -> u64 {
         match self {
             Node::Leaf { lids, .. } => usize_to_u64(lids.len()),
             Node::Internal { entries, .. } => entries.iter().map(|e| e.size).sum(),
@@ -147,7 +171,7 @@ impl Node {
     }
 
     /// Serialize into a block buffer.
-    pub fn encode(&self, buf: &mut [u8]) {
+    pub(crate) fn encode(&self, buf: &mut [u8]) {
         let mut w = Writer::new(buf);
         match self {
             Node::Leaf { parent, lids } => {
@@ -175,9 +199,13 @@ impl Node {
     /// # Panics
     /// Panics on bytes that do not decode as a node; auditors use
     /// [`Node::try_decode`] instead.
-    pub fn decode(buf: &[u8]) -> Self {
+    pub(crate) fn decode(buf: &[u8]) -> Self {
         match Self::try_decode(buf) {
             Ok(node) => node,
+            #[expect(
+                clippy::panic,
+                reason = "node-kind projections and decode are documented contract panics; auditors use try_decode"
+            )]
             Err(e) => panic!("corrupt B-BOX node: {e}"),
         }
     }
@@ -185,7 +213,7 @@ impl Node {
     /// Deserialize from a block buffer without panicking: structural
     /// problems (unknown kind byte, an entry count that overruns the block)
     /// come back as a description instead.
-    pub fn try_decode(buf: &[u8]) -> Result<Self, String> {
+    pub(crate) fn try_decode(buf: &[u8]) -> Result<Self, String> {
         if buf.len() < HEADER_SIZE {
             return Err(format!(
                 "{}-byte block is smaller than a node header",

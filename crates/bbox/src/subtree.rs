@@ -57,6 +57,10 @@ impl BBox {
         // Build T′ (appends its records to the shared LIDF).
         let (sub_root, built_height, new_lids) = self.build_forest(n_tags);
         debug_assert_eq!(built_height, sub_height);
+        #[expect(
+            clippy::as_conversions,
+            reason = "slot positions are bounded by per-node fanout; size deltas are subtree counts < 2^63"
+        )]
         self.add_len(n_tags as i64);
 
         // Seam parts per ripped level: (block, subtree record count).
@@ -72,6 +76,10 @@ impl BBox {
             debug_assert!(!right_lids.is_empty(), "anchor is in the right part");
             if u_node.count() == 0 {
                 // Whole leaf moves right: reuse the block, no LIDF updates.
+                #[expect(
+                    clippy::as_conversions,
+                    reason = "slot positions are bounded by per-node fanout; size deltas are subtree counts < 2^63"
+                )]
                 let n = right_lids.len() as u64;
                 let reused = Node::Leaf {
                     parent: u_node.parent(),
@@ -90,7 +98,15 @@ impl BBox {
                 self.write_node(right_id, &right);
                 let moved = right.lids().clone();
                 self.lidf_repoint(&moved, right_id);
+                #[expect(
+                    clippy::as_conversions,
+                    reason = "slot positions are bounded by per-node fanout; size deltas are subtree counts < 2^63"
+                )]
                 left_seam.push(Some((*u_id, u_node.count() as u64)));
+                #[expect(
+                    clippy::as_conversions,
+                    reason = "slot positions are bounded by per-node fanout; size deltas are subtree counts < 2^63"
+                )]
                 right_seam.push(Some((right_id, right.count() as u64)));
             }
         }
@@ -159,6 +175,7 @@ impl BBox {
             }
             entries.push(ChildEntry {
                 child: sub_root,
+                #[expect(clippy::as_conversions, reason = "slot positions are bounded by per-node fanout; size deltas are subtree counts < 2^63")]
                 size: n_tags as u64,
             });
             if let Some((id, size)) = right_seam[sub_height - 1] {
@@ -202,6 +219,7 @@ impl BBox {
         }
         replacement.push(ChildEntry {
             child: sub_root,
+            #[expect(clippy::as_conversions, reason = "slot positions are bounded by per-node fanout; size deltas are subtree counts < 2^63")]
             size: n_tags as u64,
         });
         if let Some((id, size)) = right_seam[sub_height - 1] {
@@ -219,9 +237,17 @@ impl BBox {
         if w.count() <= self.config().internal_capacity {
             self.write_node(*w_id, &w);
             if self.config().ordinal {
+                #[expect(
+                    clippy::as_conversions,
+                    reason = "slot positions are bounded by per-node fanout; size deltas are subtree counts < 2^63"
+                )]
                 self.bump_sizes(w.parent(), *w_id, n_tags as i64);
             }
         } else {
+            #[expect(
+                clippy::as_conversions,
+                reason = "slot positions are bounded by per-node fanout; size deltas are subtree counts < 2^63"
+            )]
             self.split_internal(*w_id, w, n_tags as i64);
         }
 
@@ -253,6 +279,10 @@ impl BBox {
         self.journaled(|t| t.delete_subtree_impl(start_lid, end_lid));
     }
 
+    #[expect(
+        clippy::as_conversions,
+        reason = "slot positions are bounded by per-node fanout; size deltas are subtree counts < 2^63"
+    )]
     fn delete_subtree_impl(&mut self, start_lid: Lid, end_lid: Lid) {
         assert_ne!(start_lid, end_lid, "a subtree has two distinct endpoints");
         let leaf_s = self.lidf_read_block(start_lid);
@@ -265,6 +295,10 @@ impl BBox {
         self.note_change_all();
         let path_s = self.path_to_root(leaf_s);
         let path_e = self.path_to_root(leaf_e);
+        #[expect(
+            clippy::expect_used,
+            reason = "descent invariants: the root-to-leaf path is non-empty and every visited child's parent range is recorded"
+        )]
         let meet = (0..path_s.len())
             .find(|&i| path_s[i].0 == path_e[i].0)
             .expect("paths meet at the root");
@@ -325,6 +359,10 @@ impl BBox {
             }
             match s_alive[level - 1] {
                 Some(_) => {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "descent invariants: the root-to-leaf path is non-empty and every visited child's parent range is recorded"
+                    )]
                     let last = s_node.entries_mut().last_mut().expect("path entry");
                     // Size fields are only maintained in ordinal mode (the
                     // subtraction is exact there); saturate so the garbage
@@ -355,6 +393,10 @@ impl BBox {
             }
             match e_alive[level - 1] {
                 Some(_) => {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "descent invariants: the root-to-leaf path is non-empty and every visited child's parent range is recorded"
+                    )]
                     let first = e_node.entries_mut().first_mut().expect("path entry");
                     first.size = first.size.saturating_sub(deleted_below);
                 }
@@ -398,6 +440,10 @@ impl BBox {
 
         let total_deleted = s_deleted + e_deleted + middle_deleted;
         debug_assert_eq!(total_deleted as usize, freed_lids.len());
+        #[expect(
+            clippy::as_conversions,
+            reason = "slot positions are bounded by per-node fanout; size deltas are subtree counts < 2^63"
+        )]
         self.add_len(-(total_deleted as i64));
 
         if m.count() == 0 {
@@ -418,6 +464,10 @@ impl BBox {
                 p.entries_mut().remove(pos);
                 self.write_node(m_parent, &p);
                 if self.config().ordinal {
+                    #[expect(
+                        clippy::as_conversions,
+                        reason = "slot positions are bounded by per-node fanout; size deltas are subtree counts < 2^63"
+                    )]
                     self.bump_sizes(p.parent(), m_parent, -(total_deleted as i64));
                 }
                 self.lidf().free_batch(freed_lids);
@@ -429,6 +479,10 @@ impl BBox {
         }
         self.write_node(*m_id, &m);
         if self.config().ordinal {
+            #[expect(
+                clippy::as_conversions,
+                reason = "slot positions are bounded by per-node fanout; size deltas are subtree counts < 2^63"
+            )]
             self.bump_sizes(m.parent(), *m_id, -(total_deleted as i64));
         }
         self.lidf().free_batch(freed_lids);
@@ -471,6 +525,10 @@ impl BBox {
         let pe = leaf.position_of_lid(end);
         assert!(ps < pe, "subtree endpoints out of order");
         let doomed: Vec<Lid> = leaf.lids_mut().drain(ps..=pe).collect();
+        #[expect(
+            clippy::as_conversions,
+            reason = "slot positions are bounded by per-node fanout; size deltas are subtree counts < 2^63"
+        )]
         let n = doomed.len() as i64;
         self.write_node(leaf_id, &leaf);
         self.lidf().free_batch(doomed);
@@ -489,6 +547,10 @@ impl BBox {
         let node = self.read_node(id);
         let mut count = 0;
         match &node {
+            #[expect(
+                clippy::as_conversions,
+                reason = "slot positions are bounded by per-node fanout; size deltas are subtree counts < 2^63"
+            )]
             Node::Leaf { lids, .. } => {
                 count += lids.len() as u64;
                 out.extend(lids.iter().copied());

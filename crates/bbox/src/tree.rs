@@ -210,6 +210,10 @@ impl BBox {
                 break;
             }
             let p = self.read_node(parent);
+            #[expect(
+                clippy::as_conversions,
+                reason = "label arithmetic widens leaf positions into u64; subrange indices are fanout-bounded u16"
+            )]
             components.push(p.position_of_child(cur) as u32);
             cur = parent;
         }
@@ -222,12 +226,24 @@ impl BBox {
     pub fn leaf_extent(&self, lid: Lid) -> (PathLabel, u32) {
         let leaf_id = self.lidf.read(lid).block;
         let node = self.read_node(leaf_id);
+        #[expect(
+            clippy::as_conversions,
+            reason = "label arithmetic widens leaf positions into u64; subrange indices are fanout-bounded u16"
+        )]
         let count = node.lids().len() as u32;
+        #[expect(
+            clippy::as_conversions,
+            reason = "label arithmetic widens leaf positions into u64; subrange indices are fanout-bounded u16"
+        )]
         let mut components = vec![node.position_of_lid(lid) as u32];
         let mut cur = leaf_id;
         let mut parent = node.parent();
         while !parent.is_invalid() {
             let p = self.read_node(parent);
+            #[expect(
+                clippy::as_conversions,
+                reason = "label arithmetic widens leaf positions into u64; subrange indices are fanout-bounded u16"
+            )]
             components.push(p.position_of_child(cur) as u32);
             cur = parent;
             parent = p.parent();
@@ -290,6 +306,10 @@ impl BBox {
         &mut self.lidf
     }
 
+    #[expect(
+        clippy::as_conversions,
+        reason = "label arithmetic widens leaf positions into u64; subrange indices are fanout-bounded u16"
+    )]
     pub(crate) fn add_len(&mut self, delta: i64) {
         self.len = (self.len as i64 + delta) as u64;
     }
@@ -361,6 +381,10 @@ impl BBox {
     /// Maximum bits a label can currently require: ⌈log₂ f_r⌉ for the root
     /// component plus full-width components below (Theorem 5.1 accounting).
     /// Reads the root (one I/O).
+    #[expect(
+        clippy::as_conversions,
+        reason = "label arithmetic widens leaf positions into u64; subrange indices are fanout-bounded u16"
+    )]
     pub fn label_bits(&self) -> u32 {
         let root = self.read_node(self.root);
         let f_r = root.count().max(2);
@@ -380,11 +404,19 @@ impl BBox {
         let _span = OpSpan::op(&self.pager, self.trace_tag(), "lookup");
         let leaf_id = self.lidf.read(lid).block;
         let node = self.read_node(leaf_id);
+        #[expect(
+            clippy::as_conversions,
+            reason = "label arithmetic widens leaf positions into u64; subrange indices are fanout-bounded u16"
+        )]
         let mut components = vec![node.position_of_lid(lid) as u32];
         let mut cur = leaf_id;
         let mut parent = node.parent();
         while !parent.is_invalid() {
             let p = self.read_node(parent);
+            #[expect(
+                clippy::as_conversions,
+                reason = "label arithmetic widens leaf positions into u64; subrange indices are fanout-bounded u16"
+            )]
             components.push(p.position_of_child(cur) as u32);
             cur = parent;
             parent = p.parent();
@@ -405,6 +437,10 @@ impl BBox {
         let _span = OpSpan::op(&self.pager, self.trace_tag(), "ordinal");
         let leaf_id = self.lidf.read(lid).block;
         let node = self.read_node(leaf_id);
+        #[expect(
+            clippy::as_conversions,
+            reason = "label arithmetic widens leaf positions into u64; subrange indices are fanout-bounded u16"
+        )]
         let mut count = node.position_of_lid(lid) as u64;
         let mut cur = leaf_id;
         let mut parent = node.parent();
@@ -526,7 +562,15 @@ impl BBox {
                 .map(|&l| (l, BlockPtrRecord::new(right_id)))
                 .collect(),
         );
+        #[expect(
+            clippy::as_conversions,
+            reason = "label arithmetic widens leaf positions into u64; subrange indices are fanout-bounded u16"
+        )]
         let left_size = leaf.count() as u64;
+        #[expect(
+            clippy::as_conversions,
+            reason = "label arithmetic widens leaf positions into u64; subrange indices are fanout-bounded u16"
+        )]
         let right_size = right.count() as u64;
         self.insert_child_after(leaf.parent(), leaf_id, right_id, left_size, right_size, 1);
     }
@@ -591,6 +635,7 @@ impl BBox {
             // pos + 1, so labels from component `pos` onward are stale).
             self.changes.push(BBoxChange::ChildrenFrom {
                 prefix: self.path_components_of(parent_id),
+                #[expect(clippy::as_conversions, reason = "label arithmetic widens leaf positions into u64; subrange indices are fanout-bounded u16")]
                 j: pos as u32,
             });
             if self.config.ordinal {
@@ -627,6 +672,10 @@ impl BBox {
 
     /// Add `delta` to the size field leading to `child` in every ancestor
     /// starting at `node_id` — the extra O(log_B N) cost of B-BOX-O updates.
+    #[expect(
+        clippy::as_conversions,
+        reason = "label arithmetic widens leaf positions into u64; subrange indices are fanout-bounded u16"
+    )]
     pub(crate) fn bump_sizes(&mut self, node_id: BlockId, child_id: BlockId, delta: i64) {
         let mut cur = node_id;
         let mut child = child_id;
@@ -735,6 +784,7 @@ impl BBox {
                     self.write_node(parent_id, &p);
                     self.changes.push(BBoxChange::Boundary {
                         prefix: self.path_components_of(parent_id),
+                        #[expect(clippy::as_conversions, reason = "label arithmetic widens leaf positions into u64; subrange indices are fanout-bounded u16")]
                         j: (pos - 1) as u32,
                     });
                     break;
@@ -744,6 +794,7 @@ impl BBox {
                 self.counters.merges += 1;
                 self.changes.push(BBoxChange::ChildrenFrom {
                     prefix: self.path_components_of(parent_id),
+                    #[expect(clippy::as_conversions, reason = "label arithmetic widens leaf positions into u64; subrange indices are fanout-bounded u16")]
                     j: (pos - 1) as u32,
                 });
                 let dead = std::mem::replace(&mut node, left);
@@ -767,6 +818,7 @@ impl BBox {
                     self.write_node(parent_id, &p);
                     self.changes.push(BBoxChange::Boundary {
                         prefix: self.path_components_of(parent_id),
+                        #[expect(clippy::as_conversions, reason = "label arithmetic widens leaf positions into u64; subrange indices are fanout-bounded u16")]
                         j: pos as u32,
                     });
                     break;
@@ -775,6 +827,7 @@ impl BBox {
                 self.counters.merges += 1;
                 self.changes.push(BBoxChange::ChildrenFrom {
                     prefix: self.path_components_of(parent_id),
+                    #[expect(clippy::as_conversions, reason = "label arithmetic widens leaf positions into u64; subrange indices are fanout-bounded u16")]
                     j: pos as u32,
                 });
                 self.merge_into(&mut node, right, node_id);
@@ -863,6 +916,10 @@ impl BBox {
                     le.extend(moved);
                 }
             }
+            #[expect(
+                clippy::unreachable,
+                reason = "the B-BOX root covers the whole label space (Thm 4.4 setup), so covering-node lookups cannot miss"
+            )]
             _ => unreachable!("siblings are at the same level"),
         }
     }
@@ -886,6 +943,10 @@ impl BBox {
                 }
                 se.extend(de);
             }
+            #[expect(
+                clippy::unreachable,
+                reason = "the B-BOX root covers the whole label space (Thm 4.4 setup), so covering-node lookups cannot miss"
+            )]
             _ => unreachable!("siblings are at the same level"),
         }
     }
@@ -895,6 +956,10 @@ impl BBox {
     /// All LIDs in document order (DFS). Test/bulk support; costs one read
     /// per node.
     pub fn iter_lids(&self) -> Vec<Lid> {
+        #[expect(
+            clippy::as_conversions,
+            reason = "label arithmetic widens leaf positions into u64; subrange indices are fanout-bounded u16"
+        )]
         let mut out = Vec::with_capacity(self.len as usize);
         self.collect_lids(self.root, &mut out);
         out

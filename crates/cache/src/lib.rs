@@ -433,6 +433,10 @@ impl CacheStats {
     }
 
     /// Fraction of resolutions that avoided I/O.
+    #[expect(
+        clippy::as_conversions,
+        reason = "u64 hit counters to f64 for a ratio; precision past 2^53 events is irrelevant to a rate"
+    )]
     pub fn avoidance_rate(&self) -> f64 {
         let total = self.hits + self.replays + self.full;
         if total == 0 {

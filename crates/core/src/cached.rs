@@ -267,6 +267,10 @@ impl CachedBBox {
     pub fn insert_before(&mut self, lid: Lid) -> Lid {
         let (label, count) = self.bbox.leaf_extent(lid);
         let mut prefix = label.0;
+        #[expect(
+            clippy::expect_used,
+            reason = "path labels have >= 1 component by construction (root label is non-empty)"
+        )]
         let pos = prefix.pop().expect("labels have at least one component");
         let _ = self.bbox.take_changes();
         let new = self.bbox.insert_before(lid);
@@ -300,6 +304,10 @@ impl CachedBBox {
         }
         let (label, count) = self.bbox.leaf_extent(lid);
         let mut prefix = label.0;
+        #[expect(
+            clippy::expect_used,
+            reason = "path labels have >= 1 component by construction (root label is non-empty)"
+        )]
         let pos = prefix.pop().expect("labels have at least one component");
         let _ = self.bbox.take_changes();
         self.bbox.delete(lid);

@@ -65,6 +65,10 @@ impl<S: LabelingScheme> DocumentDriver<S> {
 
     /// LIDs of an element.
     pub fn element(&self, r: ElemRef) -> (Lid, Lid) {
+        #[expect(
+            clippy::expect_used,
+            reason = "the driver only replays ids it minted; a deleted-slot hit is a harness bug"
+        )]
         self.elems[r.0].expect("element was deleted")
     }
 
@@ -139,7 +143,6 @@ impl<S: LabelingScheme> DocumentDriver<S> {
     }
 
     /// Apply a sequence of ops, returning only the aggregate I/O.
-    #[must_use]
     pub fn replay_total(&mut self, ops: &[Op]) -> IoStats {
         let pager = self.scheme.pager().clone();
         let before = pager.stats();

@@ -39,6 +39,10 @@ impl<S: LabelingScheme> ElementLabeler<S> {
 
     /// The LIDs of an element's start and end labels.
     pub fn lids(&self, e: ElementId) -> (Lid, Lid) {
+        #[expect(
+            clippy::expect_used,
+            reason = "label/unlabel are paired by the driver contract: every looked-up element was labeled first"
+        )]
         *self.lids.get(&e).expect("element not labeled")
     }
 
@@ -65,6 +69,10 @@ impl<S: LabelingScheme> ElementLabeler<S> {
 
     /// Register the deletion of a single element (children were promoted).
     pub fn on_remove_element(&mut self, e: ElementId) {
+        #[expect(
+            clippy::expect_used,
+            reason = "label/unlabel are paired by the driver contract: every looked-up element was labeled first"
+        )]
         let (s, x) = self.lids.remove(&e).expect("element not labeled");
         self.scheme.delete(s);
         self.scheme.delete(x);

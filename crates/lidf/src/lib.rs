@@ -183,6 +183,10 @@ impl<R: Record> Lidf<R> {
         w.u64(self.slots);
         w.u64(self.live);
         w.u64(self.free_head);
+        #[expect(
+            clippy::expect_used,
+            reason = "save_state serializes the block directory count; the pager caps allocation far below 2^32 blocks, so the overflow arm is unreachable"
+        )]
         w.u32(usize_to_u32(self.blocks.len()).expect("directory fits u32"));
         for b in &self.blocks {
             w.u32(b.0);

@@ -1,4 +1,4 @@
-//! BX006 fixture: every public item documented.
+//! BX006: every public item documented; crate-internal items say so.
 
 /// A documented struct.
 pub struct Documented {
@@ -11,8 +11,8 @@ pub fn documented(x: u32) -> u32 {
     x + 1
 }
 
-fn private_needs_no_docs(x: u32) -> u32 {
-    x
+mod hidden {
+    pub(crate) fn private_needs_no_docs(x: u32) -> u32 {
+        x
+    }
 }
-
-pub use other::Reexport;

@@ -1,19 +1,19 @@
 //! Per-function dataflow summaries.
 //!
-//! Three token-level analyses feed the BX012–BX014 rules:
+//! Two token-level analyses feed the BX012 and BX014 rules, and a third
+//! helper gives the lock-set analysis its guard-liveness windows:
 //!
 //! * **I/O-error Result propagation** ([`summarize`]): which functions
 //!   produce a `Result` carrying `PagerError`/`WalError` — directly (the
 //!   error type appears in the return type) or transitively (the function
 //!   returns a `Result` and propagates an I/O-result call with `?`). The
 //!   transitive closure is a fixpoint over the call graph.
-//! * **Borrow liveness** ([`borrow_conflicts`]): `RefCell` borrows bound to
-//!   locals are live to the end of their enclosing block (or an explicit
-//!   `drop`); a second borrow of the same field inside that window, with at
-//!   least one side mutable, is the static shadow of a latch conflict.
 //! * **Span ordering** ([`spans_after_early_return`]): an `OpSpan::op`
 //!   opened after a `?`/`return` in the same body has early-return paths
 //!   on which the operation runs with no attribution window at all.
+//! * **Binding liveness** ([`borrow_live_end`]): a guard bound to a local
+//!   is live to the end of its enclosing block (or an explicit `drop`); a
+//!   temporary is live to the end of its statement.
 
 use crate::callgraph::{CallGraph, EdgeKind};
 use crate::lexer::TokenKind;
@@ -238,121 +238,15 @@ fn ignoring_err_arm(file: &SourceFile, args_close: usize) -> Option<Consumption>
     None
 }
 
-/// One conflicting second borrow found by [`borrow_conflicts`].
-#[derive(Clone, Debug)]
-pub struct BorrowConflict {
-    /// Sig-index of the second (conflicting) borrow's method name.
-    pub si: usize,
-    /// Normalized receiver key, e.g. `self.frames`.
-    pub key: String,
-    /// 1-based line of the first (still-live) borrow.
-    pub first_line: usize,
-    /// Whether the *second* borrow is mutable.
-    pub second_mut: bool,
-}
-
-struct BorrowEvent {
-    si: usize,
-    key: String,
-    mutable: bool,
-    /// Live until this sig-index (exclusive).
-    live_end: usize,
-    line: usize,
-}
-
-/// Find `borrow_mut()`-while-borrowed conflicts inside one function body
-/// (`open`..`close` are the body braces).
-///
-/// A borrow bound with `let g = recv.borrow[_mut]()` is live until its
-/// enclosing block closes or `drop(g)` runs; a temporary borrow is live to
-/// its statement's `;`. Two overlapping borrows of the same receiver key
-/// with at least one mutable side conflict — the runtime would panic, and
-/// the future latch protocol would deadlock.
-pub fn borrow_conflicts(file: &SourceFile, open: usize, close: usize) -> Vec<BorrowConflict> {
-    let mut events: Vec<BorrowEvent> = Vec::new();
-    for si in open + 1..close {
-        let name = file.stext(si);
-        let mutable = match name {
-            "borrow_mut" => true,
-            "borrow" => false,
-            _ => continue,
-        };
-        if file.stok(si).map(|t| t.kind) != Some(TokenKind::Ident)
-            || si < 2
-            || file.stext(si - 1) != "."
-            || file.stext(si + 1) != "("
-        {
-            continue;
-        }
-        // Zero-arg call only (RefCell::borrow/borrow_mut take none).
-        let Some(args_close) = file.close_of.get(si + 1).copied().flatten() else {
-            continue;
-        };
-        if args_close != si + 2 {
-            continue;
-        }
-        let Some(key) = receiver_key(file, si - 2) else {
-            continue;
-        };
-        let line = file.stok(si).map(|t| t.line).unwrap_or(0);
-        let live_end = borrow_live_end(file, open, close, si);
-        events.push(BorrowEvent {
-            si,
-            key,
-            mutable,
-            live_end,
-            line,
-        });
-    }
-    let mut out = Vec::new();
-    for (i, first) in events.iter().enumerate() {
-        for second in events.iter().skip(i + 1) {
-            if second.key == first.key
-                && second.si < first.live_end
-                && (first.mutable || second.mutable)
-            {
-                out.push(BorrowConflict {
-                    si: second.si,
-                    key: second.key.clone(),
-                    first_line: first.line,
-                    second_mut: second.mutable,
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Normalize a borrow receiver ending at sig-index `last` into a dotted
-/// ident key (`self.frames`, `inner.cache`). `None` when the receiver is an
-/// expression we cannot name (call results, index chains).
-fn receiver_key(file: &SourceFile, last: usize) -> Option<String> {
-    let mut parts: Vec<String> = Vec::new();
-    let mut j = last;
-    loop {
-        if file.stok(j).map(|t| t.kind) != Some(TokenKind::Ident) {
-            return None;
-        }
-        parts.push(file.stext(j).to_string());
-        if j >= 2 && file.stext(j - 1) == "." {
-            j -= 2;
-        } else {
-            break;
-        }
-    }
-    parts.reverse();
-    Some(parts.join("."))
-}
-
-/// Where does the borrow starting at method-name token `si` stop being
-/// live?
+/// Where does the guard or borrow starting at method-name token `si` stop
+/// being live?
 ///
 /// * Bound via `let g = …` → the enclosing block's close (or an
 ///   intervening `drop(g)`).
 /// * Temporary → the statement's terminating `;`.
 ///
-/// Shared with the lock-set analysis ([`crate::locks`]): a `MutexGuard`
-/// binding has exactly the same liveness shape as a `RefCell` borrow.
+/// The lock-set analysis ([`crate::locks`]) uses this for `MutexGuard`
+/// bindings.
 pub(crate) fn borrow_live_end(
     file: &SourceFile,
     body_open: usize,
@@ -533,36 +427,25 @@ fn consumes() { let _ = raw(); }";
     }
 
     #[test]
-    fn borrow_conflict_detection() {
-        let (f, o, c) =
-            body_of("fn f(&self) { let a = self.frames.borrow_mut(); self.frames.borrow(); }");
-        let confl = borrow_conflicts(&f, o, c);
-        assert_eq!(confl.len(), 1);
-        assert_eq!(confl[0].key, "self.frames");
-    }
-
-    #[test]
-    fn distinct_fields_and_dropped_borrows_pass() {
+    fn binding_liveness_windows() {
         let (f, o, c) = body_of(
-            "fn f(&self) { let a = self.frames.borrow_mut(); drop(a); self.frames.borrow_mut(); \
-             let b = self.other.borrow(); self.frames.borrow(); }",
+            "fn f(&self) { let a = self.m.lock(); drop(a); \
+             { let b = self.n.lock(); } swap(self.x.lock(), y); tail(); }",
         );
-        assert!(borrow_conflicts(&f, o, c).is_empty());
-    }
-
-    #[test]
-    fn shared_then_shared_is_fine_and_scopes_end_borrows() {
-        let (f, o, c) = body_of(
-            "fn f(&self) { let a = self.x.borrow(); self.x.borrow(); \
-             { let b = self.y.borrow_mut(); } self.y.borrow_mut(); }",
-        );
-        assert!(borrow_conflicts(&f, o, c).is_empty());
-    }
-
-    #[test]
-    fn temporary_borrow_in_same_statement_conflicts() {
-        let (f, o, c) = body_of("fn f(&self) { swap(self.x.borrow_mut(), self.x.borrow_mut()); }");
-        assert_eq!(borrow_conflicts(&f, o, c).len(), 1);
+        let at = |name: &str, nth: usize| {
+            (0..f.slen())
+                .filter(|&i| f.stext(i) == name)
+                .nth(nth)
+                .expect("token")
+        };
+        // Bound, then dropped: live until the `drop`.
+        assert_eq!(borrow_live_end(&f, o, c, at("lock", 0)), at("drop", 0));
+        // Bound in an inner block: live until that block closes.
+        let inner_close = f.close_of[at("{", 1)].expect("inner block");
+        assert_eq!(borrow_live_end(&f, o, c, at("lock", 1)), inner_close);
+        // Temporary: live to the end of its statement.
+        let stmt_end = (at("lock", 2)..c).find(|&i| f.stext(i) == ";").expect(";");
+        assert_eq!(borrow_live_end(&f, o, c, at("lock", 2)), stmt_end);
     }
 
     #[test]

@@ -3,38 +3,46 @@
 //!
 //! The paper's contribution is measured in block I/Os, so correctness here
 //! means *discipline*: every disk touch flows through the accounted
-//! [`Pager`] entry points and label/offset arithmetic never silently
-//! truncates. Generic tools cannot see those invariants; this crate encodes
-//! them as the BX001–BX020 rule catalog (see [`rules`]) over a hand-rolled
-//! lexer ([`lexer`]) and a lightweight token-stream model ([`model`]).
+//! [`Pager`] entry points, I/O errors are never swallowed, and the
+//! `Send + Sync` storage core keeps one lock order. Rustc and clippy enforce
+//! the local invariants (panic freedom, casts, must-use values, `std::fs`,
+//! clocks, cells) through the workspace lint policy in `Cargo.toml` and
+//! `clippy.toml`. This crate encodes what they cannot see — call paths,
+//! guard windows, lock order — as the BX rule catalog (see [`rules`]) over
+//! a hand-rolled lexer ([`lexer`]) and a lightweight token-stream model
+//! ([`model`]).
 //!
 //! Three analysis tiers share that substrate:
 //!
-//! * **Token-stream rules** (BX001–BX009, BX020) are pure per-file
-//!   functions.
-//! * **Call-graph rules** (BX010–BX014) run over an [`Analysis`]: an
-//!   item-level parse ([`parser`]) of every file, a heuristic workspace
+//! * **Token-stream rules** (BX001, BX020) are pure per-file functions.
+//! * **Call-graph rules** (BX010, BX012, BX014) run over an [`Analysis`]:
+//!   an item-level parse ([`parser`]) of every file, a heuristic workspace
 //!   call graph ([`callgraph`]) with explicit unknown edges so reachability
 //!   stays sound-by-default, and per-function dataflow summaries
 //!   ([`dataflow`]). No rustc internals, no external dependencies.
-//! * **Lock-discipline rules** (BX015–BX019) run over the lock-set
+//! * **Lock-discipline rules** (BX015–BX017, BX019) run over the lock-set
 //!   analysis ([`locks`]): per-function `Mutex`/`RwLock` acquisition
 //!   summaries with guard-liveness windows, solved to fixpoint over the
 //!   call graph. The resulting lock-order graph is exported to
-//!   `target/lock-order.json` ([`Analysis::lock_order_json`]).
+//!   `target/lock-order.json` ([`Outcome::lock_order_json`]).
 //!
 //! Findings are [`report::Diagnostic`]s with `file:line:col` spans. A
 //! checked-in baseline (`lint.toml`, parsed by [`config`]) suppresses
-//! reviewed findings; every entry needs a justification, an entry that no
-//! longer matches anything fails the gate, and `[limits] max_baselined`
-//! caps the suppressed total so the baseline can only shrink. BX018 uses a
-//! separate `[[ratchet]]` table with the same stale-checking but no budget
-//! headroom: unmatched findings are hard errors.
+//! reviewed findings; every entry needs a justification, and an entry that
+//! no longer matches anything fails the gate. `[limits] max_baselined` caps
+//! everything suppressed: the matched `[[allow]]` findings plus every lint
+//! named by a `#[expect(…)]` in non-test code, so the suppressions can only
+//! shrink wherever they live.
 //!
 //! [`Pager`]: https://docs.rs/boxes-pager
+//! [`Outcome::lock_order_json`]: report::Outcome::lock_order_json
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the analyzer reads the workspace sources it checks"
+)]
 
 /// The workspace call graph with explicit unknown edges.
 pub mod callgraph;
@@ -52,21 +60,21 @@ pub mod model;
 pub mod parser;
 /// Diagnostics plus the human and JSON renderers.
 pub mod report;
-/// The BX001–BX020 rule catalog.
+/// The BX rule catalog.
 pub mod rules;
 
-use std::collections::BTreeSet;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use callgraph::CallGraph;
 use config::Config;
 use dataflow::FnSummary;
+use locks::LockAnalysis;
 use model::SourceFile;
 use parser::ParsedFile;
 use report::{Diagnostic, Outcome};
 
-/// The whole-workspace analysis the BX010–BX014 rules run over.
+/// The whole-workspace analysis the call-graph and lock rules run over.
 pub struct Analysis {
     /// Every scanned file, token-stream form.
     pub files: Vec<SourceFile>,
@@ -95,18 +103,6 @@ impl Analysis {
             summaries,
         }
     }
-
-    /// The concurrency-readiness inventory as JSON
-    /// (`target/sync-readiness.json`).
-    pub fn sync_readiness_json(&self) -> String {
-        rules::graph::sync_readiness_json(self)
-    }
-
-    /// The lock-order graph — locks, witnessed edges, cycles — as JSON
-    /// (`target/lock-order.json`).
-    pub fn lock_order_json(&self) -> String {
-        locks::LockAnalysis::build(self).to_json()
-    }
 }
 
 /// Lint a single source text under its workspace-relative `path`, running
@@ -115,12 +111,10 @@ impl Analysis {
 /// Applies the per-rule `allow_paths` policy from `config` but not the
 /// `[[allow]]` baseline — feed the result to [`apply_baseline`] for that.
 pub fn lint_source(path: &str, text: &str, config: &Config) -> Vec<Diagnostic> {
-    let file = SourceFile::parse(path, text);
-    let fns = rules::collect_report_fns(&file);
-    let analysis = Analysis::build(vec![file]);
+    let analysis = Analysis::build(vec![SourceFile::parse(path, text)]);
     let mut diags = Vec::new();
-    rules::run_all(&analysis.files[0], &fns, &mut diags);
-    rules::run_graph(&analysis, &mut diags);
+    rules::run_all(&analysis.files[0], &mut diags);
+    rules::run_graph(&analysis, &LockAnalysis::build(&analysis), &mut diags);
     diags.retain(|d| !config.rule_allows_path(d.rule, &d.path));
     sort_diags(&mut diags);
     diags
@@ -128,33 +122,16 @@ pub fn lint_source(path: &str, text: &str, config: &Config) -> Vec<Diagnostic> {
 
 /// Partition findings into suppressed/unsuppressed against the `[[allow]]`
 /// baseline, surface entries that matched nothing (stale suppressions), and
-/// enforce the `[limits] max_baselined` budget.
-///
-/// BX018 findings never consult the `[[allow]]` baseline: they match only
-/// `[[ratchet]]` entries (path + optional `contains`), land in
-/// [`Outcome::ratcheted`] outside the `max_baselined` budget, and any
-/// unmatched finding stays a hard error — the sync-readiness baseline can
-/// only shrink.
-pub fn apply_baseline(diags: Vec<Diagnostic>, config: &Config) -> Outcome {
+/// enforce the `[limits] max_baselined` budget over the suppressed findings
+/// plus the `expectations` (lints named by non-test `#[expect(…)]`
+/// attributes, see [`SourceFile::expected_lints`]).
+pub fn apply_baseline(diags: Vec<Diagnostic>, config: &Config, expectations: usize) -> Outcome {
     let mut matched = vec![false; config.allows.len()];
-    let mut r_matched = vec![false; config.ratchets.len()];
-    let mut outcome = Outcome::default();
+    let mut outcome = Outcome {
+        expectations,
+        ..Outcome::default()
+    };
     for d in diags {
-        if d.rule == "BX018" {
-            let hit = config.ratchets.iter().position(|r| {
-                r.path == d.path && r.contains.as_deref().is_none_or(|c| d.snippet.contains(c))
-            });
-            match hit {
-                Some(i) => {
-                    if let Some(slot) = r_matched.get_mut(i) {
-                        *slot = true;
-                    }
-                    outcome.ratcheted.push(d);
-                }
-                None => outcome.unsuppressed.push(d),
-            }
-            continue;
-        }
         let hit = config.allows.iter().position(|a| {
             a.rule == d.rule
                 && a.path == d.path
@@ -179,22 +156,15 @@ pub fn apply_baseline(diags: Vec<Diagnostic>, config: &Config) -> Outcome {
             ));
         }
     }
-    for (i, r) in config.ratchets.iter().enumerate() {
-        if !r_matched.get(i).copied().unwrap_or(true) {
-            outcome.stale_ratchets.push(format!(
-                "lint.toml:{}: [[ratchet]] in {} matched no BX018 findings — the site \
-                 was retired; remove the entry",
-                r.line_no, r.path
-            ));
-        }
-    }
     if let Some(max) = config.max_baselined {
-        if outcome.suppressed.len() > max {
+        let total = outcome.suppressed.len() + outcome.expectations;
+        if total > max {
             outcome.budget_violations.push(format!(
-                "baseline budget exceeded: {} suppressed findings > max_baselined = {} \
-                 — fix findings instead of growing the baseline",
+                "baseline budget exceeded: {} suppressed findings + {} #[expect] lints = \
+                 {total} > max_baselined = {max} — fix findings instead of growing the \
+                 baseline",
                 outcome.suppressed.len(),
-                max
+                outcome.expectations,
             ));
         }
     }
@@ -203,8 +173,9 @@ pub fn apply_baseline(diags: Vec<Diagnostic>, config: &Config) -> Outcome {
 
 /// Lint the whole workspace rooted at `root`: every `.rs` file under
 /// `crates/*/src` and `xtask/src` (integration tests, fixtures, and
-/// `third_party/` are out of scope), with both rule tiers and the baseline
-/// applied.
+/// `third_party/` are out of scope), with every rule tier, the baseline
+/// and the suppression budget applied. The outcome carries the lock-order
+/// graph the lock rules checked.
 pub fn lint_workspace(root: &Path, config: &Config) -> io::Result<Outcome> {
     let mut files: Vec<PathBuf> = Vec::new();
     let crates_dir = root.join("crates");
@@ -227,48 +198,20 @@ pub fn lint_workspace(root: &Path, config: &Config) -> io::Result<Outcome> {
         let text = std::fs::read_to_string(path)?;
         sources.push(SourceFile::parse(rel_path(root, path), text));
     }
-    let mut fns: BTreeSet<String> = BTreeSet::new();
-    for f in &sources {
-        fns.extend(rules::collect_report_fns(f));
-    }
+    let expectations = sources.iter().map(|f| f.expected_lints().len()).sum();
     let analysis = Analysis::build(sources);
+    let la = LockAnalysis::build(&analysis);
     let mut diags = Vec::new();
     for f in &analysis.files {
-        rules::run_all(f, &fns, &mut diags);
+        rules::run_all(f, &mut diags);
     }
-    rules::run_graph(&analysis, &mut diags);
+    rules::run_graph(&analysis, &la, &mut diags);
     diags.retain(|d| !config.rule_allows_path(d.rule, &d.path));
     sort_diags(&mut diags);
-    let mut outcome = apply_baseline(diags, config);
+    let mut outcome = apply_baseline(diags, config, expectations);
     outcome.files_scanned = analysis.files.len();
+    outcome.lock_order_json = la.to_json();
     Ok(outcome)
-}
-
-/// Build the whole-workspace [`Analysis`] without running any rules — the
-/// driver uses this to emit `target/sync-readiness.json` alongside the lint
-/// report.
-pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
-    let mut files: Vec<PathBuf> = Vec::new();
-    let crates_dir = root.join("crates");
-    if crates_dir.is_dir() {
-        for entry in std::fs::read_dir(&crates_dir)? {
-            let src = entry?.path().join("src");
-            if src.is_dir() {
-                collect_rs(&src, &mut files)?;
-            }
-        }
-    }
-    let xtask_src = root.join("xtask").join("src");
-    if xtask_src.is_dir() {
-        collect_rs(&xtask_src, &mut files)?;
-    }
-    files.sort();
-    let mut sources: Vec<SourceFile> = Vec::new();
-    for path in &files {
-        let text = std::fs::read_to_string(path)?;
-        sources.push(SourceFile::parse(rel_path(root, path), text));
-    }
-    Ok(Analysis::build(sources))
 }
 
 /// Load and parse `lint.toml` from the workspace root. A missing file is an
@@ -326,46 +269,47 @@ mod tests {
     #[test]
     fn baseline_suppresses_and_detects_stale() {
         let cfg = Config::parse(
-            "[[allow]]\nrule = \"BX003\"\npath = \"crates/a/src/lib.rs\"\n\
-             contains = \"invariant\"\njustification = \"documented invariant\"\n\
-             [[allow]]\nrule = \"BX004\"\npath = \"crates/b/src/lib.rs\"\n\
+            "[[allow]]\nrule = \"BX001\"\npath = \"crates/a/src/lib.rs\"\n\
+             contains = \"victim\"\njustification = \"negative control\"\n\
+             [[allow]]\nrule = \"BX019\"\npath = \"crates/b/src/lib.rs\"\n\
              justification = \"never matches\"\n",
         )
         .expect("valid config");
         let diags = vec![
-            diag("BX003", "crates/a/src/lib.rs", "x.expect(\"invariant: y\")"),
-            diag("BX003", "crates/a/src/lib.rs", "z.unwrap()"),
+            diag("BX001", "crates/a/src/lib.rs", "pager.write(victim, &b)"),
+            diag("BX001", "crates/a/src/lib.rs", "pager.read(id)"),
         ];
-        let outcome = apply_baseline(diags, &cfg);
+        let outcome = apply_baseline(diags, &cfg, 0);
         assert_eq!(outcome.suppressed.len(), 1);
         assert_eq!(outcome.unsuppressed.len(), 1);
         assert_eq!(outcome.stale_allows.len(), 1);
-        assert!(outcome.stale_allows[0].contains("BX004"));
+        assert!(outcome.stale_allows[0].contains("BX019"));
         assert!(!outcome.is_clean());
     }
 
     #[test]
     fn allow_paths_policy_filters_findings() {
-        let cfg =
-            Config::parse("[rules.BX003]\nallow_paths = [\"xtask/src\"]\n").expect("valid config");
-        let diags = lint_source("xtask/src/main.rs", "fn f() { x.unwrap(); }", &cfg);
-        assert!(diags.is_empty());
-        let diags = lint_source("crates/a/src/lib.rs", "fn f() { x.unwrap(); }", &cfg);
-        assert_eq!(diags.len(), 1);
+        let cfg = Config::parse("[rules.BX001]\nallow_paths = [\"crates/pager/src\"]\n")
+            .expect("valid config");
+        let src = "fn f(pager: &Pager) { pager.read(id); }";
+        assert!(lint_source("crates/pager/src/lib.rs", src, &cfg).is_empty());
+        assert_eq!(lint_source("crates/core/src/lib.rs", src, &cfg).len(), 1);
     }
 
     #[test]
-    fn baseline_budget_enforced() {
+    fn baseline_budget_counts_findings_and_expectations() {
         let cfg = Config::parse(
-            "[limits]\nmax_baselined = 0\n\
-             [[allow]]\nrule = \"BX003\"\npath = \"crates/a/src/lib.rs\"\n\
+            "[limits]\nmax_baselined = 2\n\
+             [[allow]]\nrule = \"BX001\"\npath = \"crates/a/src/lib.rs\"\n\
              justification = \"temporary\"\n",
         )
         .expect("valid config");
-        let outcome = apply_baseline(vec![diag("BX003", "crates/a/src/lib.rs", "x")], &cfg);
-        assert_eq!(outcome.suppressed.len(), 1);
-        assert_eq!(outcome.budget_violations.len(), 1);
-        assert!(!outcome.is_clean());
-        assert!(outcome.to_json().contains("baseline budget exceeded"));
+        let within = apply_baseline(vec![diag("BX001", "crates/a/src/lib.rs", "x")], &cfg, 1);
+        assert!(within.is_clean(), "{:?}", within.budget_violations);
+        let over = apply_baseline(vec![diag("BX001", "crates/a/src/lib.rs", "x")], &cfg, 2);
+        assert_eq!(over.suppressed.len(), 1);
+        assert_eq!(over.budget_violations.len(), 1);
+        assert!(!over.is_clean());
+        assert!(over.to_json().contains("baseline budget exceeded"));
     }
 }

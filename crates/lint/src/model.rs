@@ -311,111 +311,49 @@ impl SourceFile {
         self.item_ctx = ctx;
     }
 
-    /// What precedes the item whose first token (after attributes and
-    /// qualifiers) is at sig-index `si`: whether a doc comment is attached
-    /// and which attribute idents appear.
-    pub fn leading_trivia(&self, si: usize) -> LeadingTrivia {
-        let mut out = LeadingTrivia::default();
-        let Some(&raw_start) = self.sig.get(si) else {
-            return out;
-        };
-        let mut r = raw_start;
-        while r > 0 {
-            r -= 1;
-            let Some(tok) = self.tokens.get(r) else { break };
-            let text = tok.text(&self.text);
-            match tok.kind {
-                TokenKind::LineComment => {
-                    if text.starts_with("///") {
-                        out.has_doc = true;
+    /// The lints named by the non-test `#[expect(…)]` and `#![expect(…)]`
+    /// attributes in this file, one entry per named lint, in source order:
+    /// `#[expect(clippy::panic, reason = "…")]` yields `clippy::panic`, and
+    /// `#[expect(a, b, reason = "…")]` yields `a` and `b`.
+    pub fn expected_lints(&self) -> Vec<String> {
+        let mut lints = Vec::new();
+        for si in 0..self.slen() {
+            // `#[expect(` or the inner form `#![expect(`.
+            let bracket = if self.stext(si + 1) == "!" {
+                si + 2
+            } else {
+                si + 1
+            };
+            if self.in_test[si]
+                || self.stext(si) != "#"
+                || self.stext(bracket) != "["
+                || self.stext(bracket + 1) != "expect"
+                || self.stext(bracket + 2) != "("
+            {
+                continue;
+            }
+            let Some(close) = self.close_of[bracket + 2] else {
+                continue;
+            };
+            // Top-level comma-separated entries, minus the `reason = …` one.
+            let mut entry: Vec<&str> = Vec::new();
+            let mut k = bracket + 3;
+            while k <= close {
+                if k == close || self.stext(k) == "," {
+                    if !entry.is_empty() && entry[0] != "reason" {
+                        lints.push(entry.concat());
                     }
+                    entry.clear();
+                } else if matches!(self.stext(k), "(" | "[" | "{") {
+                    k = self.close_of[k].unwrap_or(k);
+                } else {
+                    entry.push(self.stext(k));
                 }
-                TokenKind::BlockComment => {
-                    if text.starts_with("/**") {
-                        out.has_doc = true;
-                    }
-                }
-                TokenKind::Ident => {
-                    // Visibility and qualifier keywords between attributes
-                    // and the item keyword.
-                    if !matches!(
-                        text,
-                        "pub"
-                            | "const"
-                            | "async"
-                            | "unsafe"
-                            | "extern"
-                            | "crate"
-                            | "in"
-                            | "self"
-                            | "super"
-                            | "default"
-                    ) {
-                        break;
-                    }
-                }
-                TokenKind::Str => {} // the ABI string of `extern "C"`
-                TokenKind::Punct => match text {
-                    ")" => {
-                        // pub(crate) / pub(in path): jump to the opener.
-                        let mut depth = 1usize;
-                        while r > 0 && depth > 0 {
-                            r -= 1;
-                            match self.tokens.get(r).map(|t| t.text(&self.text)) {
-                                Some(")") => depth += 1,
-                                Some("(") => depth -= 1,
-                                _ => {}
-                            }
-                        }
-                    }
-                    "]" => {
-                        // An attribute: collect its idents, jump past `#`.
-                        let mut depth = 1usize;
-                        let close = r;
-                        while r > 0 && depth > 0 {
-                            r -= 1;
-                            match self.tokens.get(r).map(|t| t.text(&self.text)) {
-                                Some("]") => depth += 1,
-                                Some("[") => depth -= 1,
-                                _ => {}
-                            }
-                        }
-                        for k in r..close {
-                            if let Some(t) = self.tokens.get(k) {
-                                if t.kind == TokenKind::Ident {
-                                    out.attr_idents.push(t.text(&self.text).to_string());
-                                }
-                            }
-                        }
-                        // Step over the `#` (and a possible `!`, which marks
-                        // an inner attribute — those belong to the enclosing
-                        // scope, so stop there).
-                        if r > 0 && self.tokens.get(r - 1).map(|t| t.text(&self.text)) == Some("!")
-                        {
-                            break;
-                        }
-                        r = r.saturating_sub(1); // the `#`
-                    }
-                    _ => break,
-                },
-                _ => break,
+                k += 1;
             }
         }
-        if out.attr_idents.iter().any(|a| a == "doc") {
-            out.has_doc = true;
-        }
-        out
+        lints
     }
-}
-
-/// Doc/attribute information preceding an item (see
-/// [`SourceFile::leading_trivia`]).
-#[derive(Default)]
-pub struct LeadingTrivia {
-    /// A `///` or `/** */` doc comment (or `#[doc …]` attribute) is attached.
-    pub has_doc: bool,
-    /// Every identifier appearing in the item's outer attributes.
-    pub attr_idents: Vec<String>,
 }
 
 #[cfg(test)]
@@ -460,13 +398,14 @@ mod tests {
     }
 
     #[test]
-    fn leading_doc_detection() {
-        let src = "/// documented\n#[must_use]\npub fn x() {}\npub fn y() {}";
-        let f = SourceFile::parse("crates/x/src/lib.rs", src);
-        let pubs: Vec<usize> = (0..f.slen()).filter(|&i| f.stext(i) == "pub").collect();
-        let first = f.leading_trivia(pubs[0]);
-        assert!(first.has_doc);
-        assert!(first.attr_idents.iter().any(|a| a == "must_use"));
-        assert!(!f.leading_trivia(pubs[1]).has_doc);
+    fn expected_lints_are_named_outside_tests() {
+        let src = "#[expect(clippy::panic, reason = \"contract\")]\nfn a() {}\n\
+                   fn b() {\n  #[expect(clippy::as_conversions, unused_must_use, reason = \"x\")]\n  f();\n}\n\
+                   #[allow(clippy::panic)]\nfn c() {}\n\
+                   #[cfg(test)]\nmod tests {\n  #[expect(clippy::unwrap_used, reason = \"t\")]\n  fn d() {}\n}\n";
+        assert_eq!(
+            SourceFile::parse("crates/x/src/lib.rs", src).expected_lints(),
+            ["clippy::panic", "clippy::as_conversions", "unused_must_use"]
+        );
     }
 }

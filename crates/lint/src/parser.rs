@@ -1,13 +1,12 @@
 //! Item-level parser over the token stream.
 //!
 //! The BX010–BX014 rules need more than tokens: they need to know *which
-//! function* a token belongs to, what type an `impl` block is for, which
-//! struct fields carry interior-mutability types, and what a function's
-//! signature looks like. This module extracts exactly that — a flat list of
-//! [`FnItem`]s and [`StateSite`]s per file — without attempting to be a full
-//! Rust parser. Macro-generated items (except `thread_local!`, which is
-//! matched structurally) are invisible; the soundness caveats are documented
-//! in DESIGN.md under "call-graph soundness".
+//! function* a token belongs to, what type an `impl` block is for, what
+//! type each struct field has, and what a function's signature looks like.
+//! This module extracts exactly that — a flat list of [`FnItem`]s per file
+//! plus the alias and field tables — without attempting to be a full Rust
+//! parser. Macro-generated items are invisible; the soundness caveats are
+//! documented in DESIGN.md under "call-graph soundness".
 
 use crate::lexer::TokenKind;
 use crate::model::SourceFile;
@@ -32,8 +31,6 @@ pub struct FnItem {
     pub path: String,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
-    /// Unrestricted `pub` (not `pub(crate)`/`pub(in …)`).
-    pub is_pub: bool,
     /// Takes a `self` receiver.
     pub has_self: bool,
     /// Number of non-`self` parameters.
@@ -65,67 +62,11 @@ impl FnItem {
     }
 }
 
-/// What kind of shared-state construct a [`StateSite`] is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum StateKind {
-    /// `RefCell<T>` — single-threaded interior mutability, `!Sync`.
-    RefCell,
-    /// `Cell<T>` — copy-based interior mutability, `!Sync`.
-    Cell,
-    /// `Rc<T>` — non-atomic shared ownership, `!Send`/`!Sync`.
-    Rc,
-    /// A `thread_local!` static — per-thread state invisible across threads.
-    ThreadLocal,
-    /// `static mut` — data race by construction under threads.
-    StaticMut,
-}
-
-impl StateKind {
-    /// Stable lowercase label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            StateKind::RefCell => "RefCell",
-            StateKind::Cell => "Cell",
-            StateKind::Rc => "Rc",
-            StateKind::ThreadLocal => "thread_local",
-            StateKind::StaticMut => "static_mut",
-        }
-    }
-}
-
-/// One shared-state declaration site: a struct/enum field of an
-/// interior-mutability type, a `static mut`, a `thread_local!` static, or a
-/// type alias wrapping `Rc`/`RefCell`/`Cell`.
-#[derive(Clone, Debug)]
-pub struct StateSite {
-    /// Which construct.
-    pub kind: StateKind,
-    /// Containing type (struct/enum name), or a pseudo-container:
-    /// `<static>`, `<thread_local>`, `<type alias>`.
-    pub container: String,
-    /// Field, static, or alias name.
-    pub name: String,
-    /// The declared type, as source text (trimmed).
-    pub type_text: String,
-    /// Crate the site lives in.
-    pub crate_name: String,
-    /// Workspace-relative path.
-    pub path: String,
-    /// 1-based line.
-    pub line: usize,
-    /// Whether the site (or its container) is declared `pub`.
-    pub is_pub: bool,
-    /// Declared inside test-only code.
-    pub in_test: bool,
-}
-
 /// Everything the item parser extracts from one file.
 #[derive(Default)]
 pub struct ParsedFile {
     /// Functions, in source order.
     pub fns: Vec<FnItem>,
-    /// Shared-state sites, in source order.
-    pub sites: Vec<StateSite>,
     /// `type Alias = …;` items mapping the alias name to the base idents of
     /// its right-hand side (e.g. `SharedPager` → `[Rc, Pager]`), used by the
     /// call graph to see through newtype-ish aliases.
@@ -150,13 +91,7 @@ pub fn crate_of(path: &str) -> String {
     }
 }
 
-const STATE_CTORS: [(&str, StateKind); 3] = [
-    ("RefCell", StateKind::RefCell),
-    ("Cell", StateKind::Cell),
-    ("Rc", StateKind::Rc),
-];
-
-/// Parse one file into functions, state sites, and type aliases.
+/// Parse one file into functions, type aliases, and struct fields.
 pub fn parse_file(file: &SourceFile, file_idx: usize) -> ParsedFile {
     let mut out = ParsedFile::default();
     let crate_name = crate_of(&file.path);
@@ -204,7 +139,7 @@ pub fn parse_file(file: &SourceFile, file_idx: usize) -> ParsedFile {
                     header.clear();
                 }
                 ";" => {
-                    handle_terminated_item(file, &crate_name, &header, &self_ty, &mut out, i);
+                    handle_terminated_item(file, &header, &self_ty, &mut out);
                     i += 1;
                     header.clear();
                 }
@@ -241,7 +176,6 @@ pub fn parse_file(file: &SourceFile, file_idx: usize) -> ParsedFile {
         }
     }
     out.fns.sort_by_key(|f| f.fn_si);
-    out.sites.sort_by_key(|s| s.line);
     out
 }
 
@@ -300,114 +234,38 @@ fn handle_braced_item(
             .and_then(|p| t.get(p + 1))
             .copied()
             .unwrap_or("?");
-        let is_pub = t.first() == Some(&"pub");
-        collect_field_sites(file, crate_name, container, is_pub, open, close, out);
-        return;
-    }
-    // `thread_local! { static X: RefCell<…> = …; }` — matched structurally.
-    if t.contains(&"thread_local") {
-        collect_thread_local_sites(file, crate_name, open, close, out);
+        collect_fields(file, container, open, close, out);
     }
 }
 
-/// Bodiless item ending in `;`: tuple structs, statics, type aliases,
-/// trait-method declarations.
+/// Bodiless item ending in `;`: the call graph only needs type aliases.
 fn handle_terminated_item(
     file: &SourceFile,
-    crate_name: &str,
     header: &[usize],
     self_ty: &Option<String>,
     out: &mut ParsedFile,
-    _semi: usize,
 ) {
     let t = texts(file, header);
-    if t.contains(&"fn") {
-        // Trait method declaration without a body — still a call-graph node
-        // (callers dispatch to every impl; the decl itself has no edges).
+    if t.contains(&"fn") || t.contains(&"static") || !t.contains(&"type") || self_ty.is_some() {
         return;
     }
-    if t.contains(&"static") {
-        let is_mut = t.contains(&"mut");
-        let name = ident_after(&t, if is_mut { "mut" } else { "static" });
-        if is_mut {
-            if let (Some(name), Some(&first)) = (name, header.first()) {
-                out.sites.push(StateSite {
-                    kind: StateKind::StaticMut,
-                    container: "<static>".to_string(),
-                    name: name.to_string(),
-                    type_text: file.line_snippet(first).to_string(),
-                    crate_name: crate_name.to_string(),
-                    path: file.path.clone(),
-                    line: file.stok(first).map(|tk| tk.line).unwrap_or(0),
-                    is_pub: t.first() == Some(&"pub"),
-                    in_test: header
-                        .first()
-                        .is_some_and(|&si| file.in_test.get(si).copied().unwrap_or(false)),
-                });
-            }
-        }
+    // `type Alias = RHS;` — record the alias's base idents.
+    let Some(name) = ident_after(&t, "type") else {
         return;
-    }
-    if t.contains(&"type") && self_ty.is_none() {
-        // `type Alias = RHS;` — record the alias and, when the RHS wraps a
-        // shared-ownership ctor, a state site.
-        let Some(name) = ident_after(&t, "type") else {
-            return;
-        };
-        let eq = t.iter().position(|x| *x == "=");
-        let rhs: Vec<String> = match eq {
-            Some(p) => t[p + 1..]
-                .iter()
-                .filter(|x| {
-                    x.chars()
-                        .next()
-                        .is_some_and(|c| c.is_alphabetic() || c == '_')
-                })
-                .map(|x| x.to_string())
-                .collect(),
-            None => Vec::new(),
-        };
-        if let Some((_, kind)) = STATE_CTORS.iter().find(|(c, _)| rhs.iter().any(|r| r == c)) {
-            if let Some(&first) = header.first() {
-                out.sites.push(StateSite {
-                    kind: *kind,
-                    container: "<type alias>".to_string(),
-                    name: name.to_string(),
-                    type_text: file.line_snippet(first).to_string(),
-                    crate_name: crate_name.to_string(),
-                    path: file.path.clone(),
-                    line: file.stok(first).map(|tk| tk.line).unwrap_or(0),
-                    is_pub: t.first() == Some(&"pub"),
-                    in_test: header
-                        .first()
-                        .is_some_and(|&si| file.in_test.get(si).copied().unwrap_or(false)),
-                });
-            }
-        }
-        out.aliases.push((name.to_string(), rhs));
-        return;
-    }
-    // Tuple struct `struct Foo(Rc<Bar>);` — fields live in the header's
-    // paren group, which the walker skipped; rescan it.
-    if t.contains(&"struct") {
-        if let Some(pos) = header
+    };
+    let rhs: Vec<String> = match t.iter().position(|x| *x == "=") {
+        Some(p) => t[p + 1..]
             .iter()
-            .position(|&si| file.stext(si) == "(")
-            .map(|p| header[p])
-        {
-            let close = file.close_of.get(pos).copied().flatten().unwrap_or(pos);
-            let container = ident_after(&t, "struct").unwrap_or("?");
-            collect_field_sites(
-                file,
-                crate_name,
-                container,
-                t.first() == Some(&"pub"),
-                pos,
-                close,
-                out,
-            );
-        }
-    }
+            .filter(|x| {
+                x.chars()
+                    .next()
+                    .is_some_and(|c| c.is_alphabetic() || c == '_')
+            })
+            .map(|x| x.to_string())
+            .collect(),
+        None => Vec::new(),
+    };
+    out.aliases.push((name.to_string(), rhs));
 }
 
 /// First ident token text following `kw` in a header text list.
@@ -497,13 +355,10 @@ fn last_path_ident<'t>(t: &[&'t str]) -> Option<&'t str> {
     best
 }
 
-/// Scan a struct/enum body (or tuple-struct paren group) for fields whose
-/// type mentions an interior-mutability constructor.
-fn collect_field_sites(
+/// Scan a struct/enum body and record each named field's base type.
+fn collect_fields(
     file: &SourceFile,
-    crate_name: &str,
     container: &str,
-    container_pub: bool,
     open: usize,
     close: usize,
     out: &mut ParsedFile,
@@ -525,15 +380,7 @@ fn collect_field_sites(
         }
         let end_of_field = k == close || (file.stext(k) == "," && angle <= 0);
         if end_of_field {
-            scan_one_field(
-                file,
-                crate_name,
-                container,
-                container_pub,
-                field_start,
-                k,
-                out,
-            );
+            scan_one_field(file, container, field_start, k, out);
             field_start = k + 1;
         }
         k += 1;
@@ -542,14 +389,12 @@ fn collect_field_sites(
 
 fn scan_one_field(
     file: &SourceFile,
-    crate_name: &str,
     container: &str,
-    container_pub: bool,
     start: usize,
     end: usize,
     out: &mut ParsedFile,
 ) {
-    // Field name: first ident before a `:` (tuple fields have none).
+    // Field name: last ident before a `:` (tuple fields have none).
     let mut name = String::new();
     let mut colon = None;
     for k in start..end {
@@ -562,65 +407,11 @@ fn scan_one_field(
             name = t.to_string();
         }
     }
-    if let Some(c) = colon {
-        if !name.is_empty() {
-            let ty = base_type_ident(file, c + 1, end);
-            if !ty.is_empty() {
-                out.fields.push((container.to_string(), name.clone(), ty));
-            }
+    if let (Some(c), false) = (colon, name.is_empty()) {
+        let ty = base_type_ident(file, c + 1, end);
+        if !ty.is_empty() {
+            out.fields.push((container.to_string(), name, ty));
         }
-    }
-    for k in start..end {
-        let t = file.stext(k);
-        if let Some((_, kind)) = STATE_CTORS.iter().find(|(c, _)| *c == t) {
-            if file.stext(k + 1) == "<" {
-                out.sites.push(StateSite {
-                    kind: *kind,
-                    container: container.to_string(),
-                    name: if name.is_empty() {
-                        format!("<field {}>", out.sites.len())
-                    } else {
-                        name.clone()
-                    },
-                    type_text: file.line_snippet(k).to_string(),
-                    crate_name: crate_name.to_string(),
-                    path: file.path.clone(),
-                    line: file.stok(k).map(|tk| tk.line).unwrap_or(0),
-                    is_pub: container_pub,
-                    in_test: file.in_test.get(k).copied().unwrap_or(false),
-                });
-                return; // one site per field, even for nested ctors
-            }
-        }
-    }
-}
-
-/// Scan a `thread_local! { … }` body: every inner `static NAME: Type` is a
-/// per-thread state site.
-fn collect_thread_local_sites(
-    file: &SourceFile,
-    crate_name: &str,
-    open: usize,
-    close: usize,
-    out: &mut ParsedFile,
-) {
-    let mut k = open + 1;
-    while k < close {
-        if file.stext(k) == "static" {
-            let name = file.stext(k + 1).to_string();
-            out.sites.push(StateSite {
-                kind: StateKind::ThreadLocal,
-                container: "<thread_local>".to_string(),
-                name,
-                type_text: file.line_snippet(k).to_string(),
-                crate_name: crate_name.to_string(),
-                path: file.path.clone(),
-                line: file.stok(k).map(|tk| tk.line).unwrap_or(0),
-                is_pub: false,
-                in_test: file.in_test.get(k).copied().unwrap_or(false),
-            });
-        }
-        k += 1;
     }
 }
 
@@ -666,7 +457,6 @@ fn parse_fn(
         // idents and ignore punctuation.
         ret_tokens.push(x.to_string());
     }
-    let is_pub = t.first() == Some(&"pub") && t.get(1) != Some(&"(");
     Some(FnItem {
         name,
         self_ty: self_ty.clone(),
@@ -675,7 +465,6 @@ fn parse_fn(
         file_idx,
         path: file.path.clone(),
         line: file.stok(fn_si).map(|tk| tk.line).unwrap_or(0),
-        is_pub,
         has_self,
         arity,
         param_names,
@@ -793,7 +582,6 @@ mod tests {
         let p = parse(src);
         assert_eq!(p.fns.len(), 3);
         assert_eq!(p.fns[0].name, "free");
-        assert!(p.fns[0].is_pub);
         assert_eq!(p.fns[0].arity, 2);
         assert_eq!(p.fns[0].param_types, vec!["u32", "FileStore"]);
         assert_eq!(p.fns[1].self_ty.as_deref(), Some("Pager"));
@@ -814,28 +602,21 @@ mod tests {
     }
 
     #[test]
-    fn state_sites_fields_statics_aliases() {
-        let src = "pub struct Pager { pool: RefCell<Pool>, hits: Cell<u64> }\n\
-                   struct Wrap(Rc<Inner>);\n\
-                   static mut COUNTER: u64 = 0;\n\
-                   pub type SharedPager = Rc<Pager>;\n\
-                   thread_local! { static TRACER: RefCell<Tracer> = RefCell::new(Tracer::new()); }";
+    fn fields_and_aliases() {
+        let src = "pub struct Pager { pool: Mutex<Pool>, store: FileStore }\n\
+                   static COUNTER: AtomicU64 = AtomicU64::new(0);\n\
+                   pub type SharedPager = Arc<Pager>;";
         let p = parse(src);
-        let kinds: Vec<_> = p.sites.iter().map(|s| (s.kind, s.name.clone())).collect();
-        assert!(kinds.contains(&(StateKind::RefCell, "pool".to_string())));
-        assert!(kinds.contains(&(StateKind::Cell, "hits".to_string())));
-        assert!(kinds.iter().any(|(k, _)| *k == StateKind::Rc));
-        assert!(kinds.contains(&(StateKind::StaticMut, "COUNTER".to_string())));
-        assert!(kinds.contains(&(StateKind::ThreadLocal, "TRACER".to_string())));
+        assert!(p.fields.contains(&(
+            "Pager".to_string(),
+            "store".to_string(),
+            "FileStore".to_string()
+        )));
         assert!(p
             .aliases
             .iter()
             .any(|(n, rhs)| n == "SharedPager" && rhs.contains(&"Pager".to_string())));
-        // The alias wraps Rc, so it is also a site.
-        assert!(p
-            .sites
-            .iter()
-            .any(|s| s.kind == StateKind::Rc && s.name == "SharedPager"));
+        assert_eq!(p.aliases.len(), 1, "a static is not an alias");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The call-graph/dataflow rule family (BX010–BX014).
+//! The call-graph/dataflow rule family (BX010, BX012, BX014).
 //!
 //! These rules run once over the whole-workspace [`Analysis`] — call graph
 //! plus per-function dataflow summaries — instead of file-by-file:
@@ -8,27 +8,19 @@
 //!   `DiskBlock` methods) that bypasses the blessed `Pager` API. Uses
 //!   reverse reachability over *all* edges, unknown edges included, so a
 //!   helper chain cannot hide a leak (sound-by-default).
-//! * **BX011** — concurrency-readiness inventory: every interior-mutability
-//!   or shared-ownership site in library crates is a finding, carrying its
-//!   containing type and the public APIs that reach it. The machine-readable
-//!   burndown lives in `target/sync-readiness.json`
-//!   ([`sync_readiness_json`]).
 //! * **BX012** — transitive error swallowing: a `Result` carrying
 //!   `PagerError`/`WalError` (directly or by `?`-propagation, per the
 //!   summary fixpoint) must not be `let _ =`-dropped, bare-`;`-discarded,
 //!   `.ok()`-silenced, or matched with an ignoring `Err(_)` arm. Only
 //!   resolved edges fire — unknown edges would spam (caveat in DESIGN.md).
-//! * **BX013** — latch-discipline scaffold: no `borrow_mut()` while another
-//!   borrow of the same field is live in the same function.
 //! * **BX014** — span balance: `OpSpan::op` must open before any `?`/
 //!   `return` in its function body, or early-return paths run unattributed.
 
 use std::collections::BTreeSet;
 
-use super::{chain_start, push, stream};
+use super::{chain_start, push};
 use crate::callgraph::{EdgeKind, FnId};
 use crate::dataflow;
-use crate::parser::StateSite;
 use crate::report::Diagnostic;
 use crate::Analysis;
 
@@ -48,9 +40,7 @@ const BLESSED_FNS: [&str; 1] = ["boxes-wal::recover"];
 /// Run every graph rule.
 pub fn run_all(a: &Analysis, out: &mut Vec<Diagnostic>) {
     bx010(a, out);
-    bx011(a, out);
     bx012(a, out);
-    bx013(a, out);
     bx014(a, out);
 }
 
@@ -183,79 +173,8 @@ fn chain_to_sink(
     path
 }
 
-/// BX011: every shared-state site in library crates is a tracked finding.
-fn bx011(a: &Analysis, out: &mut Vec<Diagnostic>) {
-    for p in &a.parsed {
-        for site in &p.sites {
-            if site.in_test || !site.path.starts_with("crates/") {
-                continue;
-            }
-            let apis = reaching_public_apis(a, site);
-            let reach = match apis.len() {
-                0 => "no public API reaches it".to_string(),
-                n => format!(
-                    "reached by {} public API{}: {}{}",
-                    n,
-                    if n == 1 { "" } else { "s" },
-                    apis.iter().take(3).cloned().collect::<Vec<_>>().join(", "),
-                    if n > 3 { ", …" } else { "" }
-                ),
-            };
-            out.push(Diagnostic {
-                rule: "BX011",
-                path: site.path.clone(),
-                line: site.line,
-                col: 1,
-                message: format!(
-                    "{} site `{}.{}` blocks Send/Sync readiness ({reach}) — \
-                     inventoried in sync-readiness.json",
-                    site.kind.label(),
-                    site.container,
-                    site.name
-                ),
-                snippet: site.type_text.clone(),
-            });
-        }
-    }
-}
-
-/// Public, non-test functions that (transitively, over resolved edges)
-/// call into a function whose body mentions the site's name.
-fn reaching_public_apis(a: &Analysis, site: &StateSite) -> Vec<String> {
-    let g = &a.graph;
-    let touching: BTreeSet<FnId> = g
-        .fns
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| {
-            if f.crate_name != site.crate_name || f.in_test {
-                return false;
-            }
-            let Some((open, close)) = f.body else {
-                return false;
-            };
-            let file = &a.files[f.file_idx];
-            (open + 1..close).any(|si| file.stext(si) == site.name)
-        })
-        .map(|(id, _)| id)
-        .collect();
-    if touching.is_empty() {
-        return Vec::new();
-    }
-    let up = g.reaching(&touching, |e| e.kind != EdgeKind::Unknown, |_| true);
-    let mut apis: Vec<String> = up
-        .iter()
-        .filter(|&&id| g.fns[id].is_pub && !g.fns[id].in_test)
-        .map(|&id| g.fns[id].qual())
-        .collect();
-    apis.sort();
-    apis.dedup();
-    apis
-}
-
 /// BX012: swallowed I/O-error `Result`s, transitively over the summary
-/// fixpoint. Resolved edges only; the BX008 name list is skipped to avoid
-/// double findings on the same call.
+/// fixpoint. Resolved edges only.
 fn bx012(a: &Analysis, out: &mut Vec<Diagnostic>) {
     let g = &a.graph;
     let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
@@ -269,9 +188,6 @@ fn bx012(a: &Analysis, out: &mut Vec<Diagnostic>) {
                 continue;
             }
             let callee = &g.fns[e.to];
-            if stream::IO_RESULT_FNS.contains(&callee.name.as_str()) {
-                continue;
-            }
             if !seen.insert((f.file_idx, e.call_si)) {
                 continue;
             }
@@ -290,38 +206,6 @@ fn bx012(a: &Analysis, out: &mut Vec<Diagnostic>) {
                     out,
                 );
             }
-        }
-    }
-}
-
-/// BX013: overlapping `RefCell` borrow windows inside one function.
-fn bx013(a: &Analysis, out: &mut Vec<Diagnostic>) {
-    for f in &a.graph.fns {
-        if f.in_test {
-            continue;
-        }
-        let Some((open, close)) = f.body else {
-            continue;
-        };
-        let file = &a.files[f.file_idx];
-        for c in dataflow::borrow_conflicts(file, open, close) {
-            push(
-                file,
-                c.si,
-                "BX013",
-                format!(
-                    "`{}` is {} while the borrow taken at line {} is still live — \
-                     overlapping windows panic today and cannot map onto a latch order",
-                    c.key,
-                    if c.second_mut {
-                        "mutably re-borrowed"
-                    } else {
-                        "borrowed"
-                    },
-                    c.first_line
-                ),
-                out,
-            );
         }
     }
 }
@@ -350,65 +234,6 @@ fn bx014(a: &Analysis, out: &mut Vec<Diagnostic>) {
             );
         }
     }
-}
-
-/// Render the full concurrency-readiness inventory as pretty JSON:
-/// every non-test shared-state site in the workspace (library crates and
-/// tooling alike), with the public APIs that reach it and per-kind totals.
-pub fn sync_readiness_json(a: &Analysis) -> String {
-    let mut sites: Vec<(&StateSite, Vec<String>)> = Vec::new();
-    for p in &a.parsed {
-        for site in &p.sites {
-            if site.in_test {
-                continue;
-            }
-            sites.push((site, reaching_public_apis(a, site)));
-        }
-    }
-    sites.sort_by(|(x, _), (y, _)| (&x.path, x.line).cmp(&(&y.path, y.line)));
-    let mut by_kind: Vec<(&'static str, usize)> = Vec::new();
-    for (s, _) in &sites {
-        match by_kind.iter_mut().find(|(k, _)| *k == s.kind.label()) {
-            Some((_, n)) => *n += 1,
-            None => by_kind.push((s.kind.label(), 1)),
-        }
-    }
-    let js = crate::report::json_string;
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"total\": {},\n", sites.len()));
-    out.push_str("  \"by_kind\": {");
-    for (i, (k, n)) in by_kind.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("{}: {}", js(k), n));
-    }
-    out.push_str("},\n  \"sites\": [\n");
-    for (i, (s, apis)) in sites.iter().enumerate() {
-        out.push_str("    {");
-        out.push_str(&format!("\"kind\": {}, ", js(s.kind.label())));
-        out.push_str(&format!("\"container\": {}, ", js(&s.container)));
-        out.push_str(&format!("\"name\": {}, ", js(&s.name)));
-        out.push_str(&format!("\"crate\": {}, ", js(&s.crate_name)));
-        out.push_str(&format!("\"path\": {}, ", js(&s.path)));
-        out.push_str(&format!("\"line\": {}, ", s.line));
-        out.push_str(&format!("\"public\": {}, ", s.is_pub));
-        out.push_str(&format!("\"type\": {}, ", js(&s.type_text)));
-        out.push_str("\"reaching_public_apis\": [");
-        for (j, api) in apis.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&js(api));
-        }
-        out.push_str("]}");
-        if i + 1 < sites.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 #[cfg(test)]
@@ -457,25 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn bx011_inventories_sites_with_reaching_apis() {
-        let a = analyze(&[(
-            "crates/core/src/lib.rs",
-            "pub struct Durable { cache: RefCell<Vec<u8>> }\n\
-             impl Durable { fn touch(&self) { self.cache.borrow(); } \
-             pub fn api(&self) { self.touch(); } }",
-        )]);
-        let mut out = Vec::new();
-        run_all(&a, &mut out);
-        let b = rules_of(&out, "BX011");
-        assert_eq!(b.len(), 1);
-        assert!(b[0].contains("`Durable.cache`"), "{b:?}");
-        assert!(b[0].contains("boxes-core::Durable::api"), "{b:?}");
-        let json = sync_readiness_json(&a);
-        assert!(json.contains("\"name\": \"cache\""));
-        assert!(json.contains("boxes-core::Durable::api"));
-    }
-
-    #[test]
     fn bx012_transitive_swallow_fires_and_propagation_passes() {
         let a = analyze(&[(
             "crates/wal/src/lib.rs",
@@ -493,19 +299,16 @@ mod tests {
     }
 
     #[test]
-    fn bx013_and_bx014_fire_on_their_shapes() {
+    fn bx014_fires_on_a_late_op_span() {
         let a = analyze(&[(
             "crates/trace/src/lib.rs",
-            "pub struct T { x: RefCell<u8> }\n\
-             impl T { pub fn clash(&self) { let g = self.x.borrow_mut(); \
-             self.x.borrow(); } \n\
-             pub fn late(&self) -> Result<(), E> { self.gate()?; \
+            "pub struct T;\n\
+             impl T { pub fn late(&self) -> Result<(), E> { self.gate()?; \
              let _s = OpSpan::op(\"w\", \"i\"); Ok(()) } \
              fn gate(&self) -> Result<(), E> { Ok(()) } }",
         )]);
         let mut out = Vec::new();
         run_all(&a, &mut out);
-        assert_eq!(rules_of(&out, "BX013").len(), 1);
         assert_eq!(rules_of(&out, "BX014").len(), 1);
     }
 }

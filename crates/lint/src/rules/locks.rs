@@ -1,4 +1,4 @@
-//! The lock-discipline rule family (BX015–BX019).
+//! The lock-discipline rule family (BX015–BX017, BX019).
 //!
 //! BX015–BX017 run over the workspace [`LockAnalysis`][crate::locks] —
 //! per-function lock-set summaries solved to fixpoint over the call graph:
@@ -15,13 +15,8 @@
 //!   reentrant, so overlapping acquisitions of one lock self-deadlock the
 //!   moment the code runs under a real second thread.
 //!
-//! BX018–BX019 are site rules that keep the storage core honest now that it
-//! is `Send + Sync`:
+//! BX019 is a site rule that keeps the `Send + Sync` storage core honest:
 //!
-//! * **BX018** — sync-readiness ratchet: every interior-mutability /
-//!   shared-ownership site in a library crate must be covered by a
-//!   `[[ratchet]]` entry in lint.toml. New sites are hard errors — the
-//!   burned-down baseline cannot regrow.
 //! * **BX019** — bare relaxed atomic ordering: the workspace standardizes
 //!   on `SeqCst`; a weaker ordering needs a justified `[[allow]]`.
 
@@ -33,13 +28,11 @@ use crate::locks::LockAnalysis;
 use crate::report::Diagnostic;
 use crate::Analysis;
 
-/// Run every lock-discipline rule.
-pub fn run_all(a: &Analysis, out: &mut Vec<Diagnostic>) {
-    let la = LockAnalysis::build(a);
-    bx015(a, &la, out);
-    bx016(a, &la, out);
-    bx017(a, &la, out);
-    bx018(a, out);
+/// Run every lock-discipline rule over the workspace's lock-set analysis.
+pub fn run_all(a: &Analysis, la: &LockAnalysis, out: &mut Vec<Diagnostic>) {
+    bx015(a, la, out);
+    bx016(a, la, out);
+    bx017(a, la, out);
     bx019(a, out);
 }
 
@@ -157,35 +150,6 @@ fn bx017(a: &Analysis, la: &LockAnalysis, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// BX018: interior-mutability / shared-ownership sites in library crates.
-/// Fires on the same inventory as BX011 but is suppressible *only* through
-/// `[[ratchet]]` entries, so new sites cannot ride the baseline.
-fn bx018(a: &Analysis, out: &mut Vec<Diagnostic>) {
-    for p in &a.parsed {
-        for site in &p.sites {
-            if site.in_test || !site.path.starts_with("crates/") {
-                continue;
-            }
-            out.push(Diagnostic {
-                rule: "BX018",
-                path: site.path.clone(),
-                line: site.line,
-                col: 1,
-                message: format!(
-                    "{} site `{}.{}` regresses the Send/Sync core — the \
-                     sync-readiness baseline is burned down; cover a deliberate \
-                     survivor with a [[ratchet]] entry, otherwise use \
-                     Mutex/RwLock/atomics",
-                    site.kind.label(),
-                    site.container,
-                    site.name
-                ),
-                snippet: site.type_text.clone(),
-            });
-        }
-    }
-}
-
 /// BX019: bare relaxed atomic ordering outside tests.
 fn bx019(a: &Analysis, out: &mut Vec<Diagnostic>) {
     for file in &a.files {
@@ -243,7 +207,7 @@ mod tests {
              pub fn ba(&self) { let g = self.b.lock(); self.a.lock(); } }",
         )]);
         let mut out = Vec::new();
-        run_all(&a, &mut out);
+        run_all(&a, &LockAnalysis::build(&a), &mut out);
         let b = rules_of(&out, "BX015");
         assert_eq!(b.len(), 1, "{b:?}");
         assert!(
@@ -261,7 +225,7 @@ mod tests {
              pub fn ab2(&self) { let g = self.a.lock(); self.b.lock(); } }",
         )]);
         let mut out = Vec::new();
-        run_all(&a, &mut out);
+        run_all(&a, &LockAnalysis::build(&a), &mut out);
         assert!(rules_of(&out, "BX015").is_empty());
     }
 
@@ -276,7 +240,7 @@ mod tests {
              pub fn hot(&self) { let g = self.map.lock(); self.journaled(); } }",
         )]);
         let mut out = Vec::new();
-        run_all(&a, &mut out);
+        run_all(&a, &LockAnalysis::build(&a), &mut out);
         let b = rules_of(&out, "BX016");
         assert_eq!(b.len(), 1, "{b:?}");
         assert!(b[0].contains("journaled"), "{b:?}");
@@ -293,7 +257,7 @@ mod tests {
              self.store.read_block(); } }",
         )]);
         let mut out = Vec::new();
-        run_all(&a, &mut out);
+        run_all(&a, &LockAnalysis::build(&a), &mut out);
         assert!(rules_of(&out, "BX016").is_empty(), "{out:?}");
     }
 
@@ -305,23 +269,10 @@ mod tests {
              impl S { pub fn twice(&self) { let g = self.n.lock(); self.n.lock(); } }",
         )]);
         let mut out = Vec::new();
-        run_all(&a, &mut out);
+        run_all(&a, &LockAnalysis::build(&a), &mut out);
         let b = rules_of(&out, "BX017");
         assert_eq!(b.len(), 1, "{b:?}");
         assert!(b[0].contains("not reentrant"), "{b:?}");
-    }
-
-    #[test]
-    fn bx018_fires_on_library_site_only() {
-        let a = analyze(&[
-            ("crates/x/src/lib.rs", "pub struct S { c: RefCell<u8> }"),
-            ("xtask/src/main.rs", "pub struct T { c: RefCell<u8> }"),
-        ]);
-        let mut out = Vec::new();
-        run_all(&a, &mut out);
-        let b = rules_of(&out, "BX018");
-        assert_eq!(b.len(), 1, "{b:?}");
-        assert!(b[0].contains("[[ratchet]]"), "{b:?}");
     }
 
     #[test]
@@ -333,7 +284,7 @@ mod tests {
              n.load(Ordering::Relaxed); } }",
         )]);
         let mut out = Vec::new();
-        run_all(&a, &mut out);
+        run_all(&a, &LockAnalysis::build(&a), &mut out);
         let b = rules_of(&out, "BX019");
         assert_eq!(b.len(), 1, "{b:?}");
         assert!(b[0].contains("SeqCst"), "{b:?}");

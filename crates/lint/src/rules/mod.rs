@@ -1,36 +1,40 @@
-//! The BX rule catalog.
+//! The BX rule catalog: the invariants rustc and clippy cannot check.
 //!
 //! Three rule families share this module's helpers:
 //!
-//! * [`stream`] — BX001–BX009 and BX020, pure functions over one
+//! * [`stream`] — BX001 and BX020, pure functions over one
 //!   [`SourceFile`]'s token stream (no cross-file knowledge).
-//! * [`graph`] — BX010–BX014, functions over the whole-workspace
-//!   [`Analysis`](crate::Analysis): call graph plus dataflow summaries.
-//! * [`locks`] — BX015–BX019, lock-discipline rules over the workspace
-//!   lock-set analysis ([`crate::locks`]): lock-order cycles, guards held
-//!   across disk I/O, re-acquisition, the sync-readiness ratchet, and
-//!   atomic-ordering hygiene.
+//! * [`graph`] — BX010, BX012 and BX014, functions over the
+//!   whole-workspace [`Analysis`](crate::Analysis): call graph plus
+//!   dataflow summaries.
+//! * [`locks`] — BX015–BX017 and BX019, lock-discipline rules over the
+//!   workspace lock-set analysis ([`crate::locks`]): lock-order cycles,
+//!   guards held across disk I/O, re-acquisition, and atomic-ordering
+//!   hygiene.
+//!
+//! Rustc and clippy enforce the retired ids BX002–BX009 and BX018 through
+//! the workspace lint policy in `Cargo.toml` and `clippy.toml`; BX011 and
+//! BX013 policed `RefCell` sites that the cell ban now rules out. DESIGN.md
+//! maps each retired id to its lint.
 //!
 //! Every rule errs on the side of firing — a finding can be baselined with
 //! a justification; a silent miss cannot.
 
-/// BX010–BX014: call-graph and dataflow rules over the whole workspace.
+/// BX010, BX012, BX014: call-graph and dataflow rules over the workspace.
 pub mod graph;
-/// BX015–BX019: lock-discipline rules over the lock-set analysis.
+/// BX015–BX017, BX019: lock-discipline rules over the lock-set analysis.
 pub mod locks;
-/// BX001–BX009 and BX020: per-file token-stream rules.
+/// BX001 and BX020: per-file token-stream rules.
 pub mod stream;
 
 use crate::lexer::TokenKind;
+use crate::locks::LockAnalysis;
 use crate::model::SourceFile;
 use crate::report::Diagnostic;
 
-pub use stream::collect_report_fns;
-
 /// All stable rule IDs, in catalog order.
-pub const RULE_IDS: [&str; 20] = [
-    "BX001", "BX002", "BX003", "BX004", "BX005", "BX006", "BX007", "BX008", "BX009", "BX010",
-    "BX011", "BX012", "BX013", "BX014", "BX015", "BX016", "BX017", "BX018", "BX019", "BX020",
+pub const RULE_IDS: [&str; 9] = [
+    "BX001", "BX010", "BX012", "BX014", "BX015", "BX016", "BX017", "BX019", "BX020",
 ];
 
 /// Rationale and fix recipe for one rule, rendered by
@@ -47,7 +51,7 @@ pub struct RuleDoc {
 }
 
 /// The full rule documentation table.
-pub const RULE_DOCS: [RuleDoc; 20] = [
+pub const RULE_DOCS: [RuleDoc; 9] = [
     RuleDoc {
         id: "BX001",
         title: "pager I/O (`read/write/alloc/free`) only in designated I/O modules",
@@ -56,72 +60,6 @@ pub const RULE_DOCS: [RuleDoc; 20] = [
                     measurements never see.",
         fix: "Route the access through the owning scheme's API. If the module genuinely is \
               a storage module, add it to [rules.BX001] allow_paths with a comment.",
-    },
-    RuleDoc {
-        id: "BX002",
-        title: "`std::fs` only behind the pager's file backend and tooling",
-        rationale: "The pager is the paper's disk model; side-channel file I/O bypasses \
-                    block-transfer accounting entirely.",
-        fix: "Use `Pager`/`FileStore` for data. Report/artifact writers belong in xtask or \
-              crates/bench, which are policy-allowed.",
-    },
-    RuleDoc {
-        id: "BX003",
-        title: "no `unwrap/expect/panic!/unreachable!` in non-test library code",
-        rationale: "Auditors must report corruption, not crash on it; a panic mid-update can \
-                    strand a half-relabeled structure the audit can no longer inspect.",
-        fix: "Return a typed error or restructure so the invariant is checked once. A \
-              documented contract panic gets a [[allow]] with the invariant as justification.",
-    },
-    RuleDoc {
-        id: "BX004",
-        title: "no `as` casts to integer types",
-        rationale: "Label-bit budgets are load-bearing (naive-k exists because labels \
-                    overflow); a silent truncation fabricates exactly the overflow BOXes \
-                    avoid.",
-        fix: "Use `From`/`TryFrom` or the checked helpers in `pager::codec` \
-              (`u32_to_usize`, `usize_to_u64`, `usize_to_u32`, `u64_to_index`, …). \
-              Provably-safe casts get per-file [[allow]] entries.",
-    },
-    RuleDoc {
-        id: "BX005",
-        title: "`AuditReport`/`IoStats` producers are `#[must_use]`, never dropped",
-        rationale: "A dropped audit report is a skipped invariant check; dropped I/O stats \
-                    un-measure the experiment.",
-        fix: "Add `#[must_use]` to the producer; consume or explicitly assert on the value \
-              at call sites.",
-    },
-    RuleDoc {
-        id: "BX006",
-        title: "every `pub` item carries a doc comment",
-        rationale: "The repo is a paper reproduction — an undocumented public surface loses \
-                    the mapping back to the paper's definitions.",
-        fix: "Write a `///` comment tying the item to its paper construct, or restrict \
-              visibility to `pub(crate)`.",
-    },
-    RuleDoc {
-        id: "BX007",
-        title: "no wall-clock reads (`std::time`) in library code",
-        rationale: "Crash-recovery sweeps and experiments replay seeded workloads and demand \
-                    bit-identical results; a clock read breaks the committed-prefix oracle.",
-        fix: "Pass logical ticks or counters in. Timing belongs to crates/bench and xtask \
-              (policy-allowed).",
-    },
-    RuleDoc {
-        id: "BX008",
-        title: "pager/WAL I/O `Result`s are handled, never `let _ =` / bare-`;` / `.ok();`",
-        rationale: "A swallowed `PagerError` is a swallowed disk fault: the structure \
-                    silently diverges from media and the next audit reads fiction.",
-        fix: "Propagate with `?`, branch on the value, or park the failure in degraded \
-              mode via the documented gate-first pattern.",
-    },
-    RuleDoc {
-        id: "BX009",
-        title: "trace spans are bound to named locals, never dropped or leaked",
-        rationale: "An `OpSpan` is an RAII attribution window; an unbound constructor drops \
-                    it immediately and `mem::forget` skews every enclosing span.",
-        fix: "Bind the span: `let _span = OpSpan::op(…)`. Never `mem::forget` an RAII \
-              guard in library code.",
     },
     RuleDoc {
         id: "BX010",
@@ -136,38 +74,15 @@ pub const RULE_DOCS: [RuleDoc; 20] = [
               via [rules.BX010] allow_paths.",
     },
     RuleDoc {
-        id: "BX011",
-        title: "concurrency-readiness inventory: every `RefCell`/`Cell`/`Rc`/\
-                `thread_local!`/`static mut` in library crates is a tracked finding",
-        rationale: "ROADMAP item 1 (concurrent multi-session core) is blocked by !Send/!Sync \
-                    shared state. Each site is inventoried — with its containing type and \
-                    the public APIs that reach it — in target/sync-readiness.json, the \
-                    burndown the concurrency PR consumes. The baseline can only shrink, so \
-                    new shared state cannot land unnoticed.",
-        fix: "Either replace the construct with a Sync-ready design (latch-per-frame, \
-              atomics, owned state) or add a [[allow]] naming the refactor that will \
-              retire it. The JSON report tracks the burndown either way.",
-    },
-    RuleDoc {
         id: "BX012",
         title: "no swallowed `PagerError`/`WalError` Results, transitively",
-        rationale: "BX008 guards a fixed list of entry-point names; BX012 follows the call \
-                    graph — any function that produces or `?`-propagates an I/O-error \
-                    Result is protected, so wrapping an I/O call in a helper no longer \
-                    hides a swallowed disk fault.",
+        rationale: "rustc and clippy catch a `Result` dropped on the spot (bare \
+                    statement, `let _ =`, `.ok();`) but not one matched and thrown away. \
+                    BX012 follows the call graph to every function that produces or \
+                    `?`-propagates a `PagerError`/`WalError` Result and also flags an \
+                    `Err(_) => {}` arm that ignores the fault.",
         fix: "Propagate with `?`, handle both arms meaningfully, or document why the error \
               is ignorable in a [[allow]] justification.",
-    },
-    RuleDoc {
-        id: "BX013",
-        title: "latch-discipline scaffold: no `borrow_mut()` while another borrow of the \
-                same field is live",
-        rationale: "Overlapping `RefCell` borrow windows panic today and deadlock tomorrow \
-                    — the latch-per-frame refactor maps each borrow window onto a latch \
-                    hold. Non-overlapping windows are the static precondition for a cycle-\
-                    free latch order.",
-        fix: "Narrow the first borrow's scope (inner block or explicit `drop`) before \
-              taking the second, or split the state so the borrows touch different cells.",
     },
     RuleDoc {
         id: "BX014",
@@ -220,19 +135,6 @@ pub const RULE_DOCS: [RuleDoc; 20] = [
               moving the lock into one does not hide the overlap.",
     },
     RuleDoc {
-        id: "BX018",
-        title: "sync-readiness ratchet: no new interior-mutability or shared-ownership \
-                sites in library crates",
-        rationale: "The Send + Sync refactor burned the BX011 inventory down to a \
-                    deliberate handful. BX018 is the ratchet that keeps it burned: it \
-                    fires on the same sites as BX011 but is suppressible only through \
-                    [[ratchet]] entries in lint.toml, which are stale-checked — so a \
-                    new site is a hard error and a removed site retires its entry.",
-        fix: "Use Mutex/RwLock/atomics (or owned state) instead. A deliberate \
-              survivor — e.g. the per-thread span stack in boxes-trace — gets a \
-              [[ratchet]] entry with the design rationale as justification.",
-    },
-    RuleDoc {
         id: "BX019",
         title: "no bare relaxed atomic ordering in library crates",
         rationale: "The workspace standardizes on SeqCst: the atomics guard cheap \
@@ -264,20 +166,16 @@ pub fn rule_doc(id: &str) -> Option<&'static RuleDoc> {
     RULE_DOCS.iter().find(|d| d.id.eq_ignore_ascii_case(id))
 }
 
-/// Run the token-stream rules (BX001–BX009, BX020) against one file.
-pub fn run_all(
-    file: &SourceFile,
-    must_use_fns: &std::collections::BTreeSet<String>,
-    out: &mut Vec<Diagnostic>,
-) {
-    stream::run_all(file, must_use_fns, out);
+/// Run the token-stream rules (BX001, BX020) against one file.
+pub fn run_all(file: &SourceFile, out: &mut Vec<Diagnostic>) {
+    stream::run_all(file, out);
 }
 
-/// Run the call-graph/dataflow rules (BX010–BX014) and the lock-discipline
-/// rules (BX015–BX019) against a whole analysis.
-pub fn run_graph(analysis: &crate::Analysis, out: &mut Vec<Diagnostic>) {
+/// Run the call-graph/dataflow rules (BX010, BX012, BX014) and the
+/// lock-discipline rules (BX015–BX017, BX019) against a whole analysis.
+pub fn run_graph(analysis: &crate::Analysis, la: &LockAnalysis, out: &mut Vec<Diagnostic>) {
     graph::run_all(analysis, out);
-    locks::run_all(analysis, out);
+    locks::run_all(analysis, la, out);
 }
 
 // ------------------------------------------------------------------ helpers

@@ -1,5 +1,6 @@
 //! BX012 bad: `Result`s carrying an I/O error type are swallowed — through
-//! a wrapper, so only the transitive analysis can see them.
+//! a wrapper, so only the transitive analysis can see them, or straight
+//! from a named pager entry point into an ignoring match arm.
 
 /// The pager's typed error.
 pub struct PagerError;
@@ -33,6 +34,24 @@ pub fn silenced() {
 pub fn ignored() {
     match wraps() {
         Ok(v) => keep(v),
+        Err(_) => {}
+    }
+}
+
+/// The accounted pager surface.
+pub struct Pager;
+
+impl Pager {
+    /// A fallible block write.
+    pub fn try_write(&self, _id: u64, _data: &[u8]) -> Result<(), PagerError> {
+        Ok(())
+    }
+}
+
+/// A pager write matched with an ignoring error arm: no lint sees this.
+pub fn ignored_write(p: &Pager) {
+    match p.try_write(7, &[0u8; 8]) {
+        Ok(()) => keep(()),
         Err(_) => {}
     }
 }

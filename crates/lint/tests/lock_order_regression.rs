@@ -19,7 +19,7 @@
 use std::path::Path;
 
 use boxes_lint::config::Config;
-use boxes_lint::{analyze_workspace, lint_source};
+use boxes_lint::{lint_source, lint_workspace};
 
 /// Workspace root (two levels up from the lint crate's manifest).
 fn workspace_root() -> &'static Path {
@@ -56,8 +56,8 @@ fn json_section<'a>(json: &'a str, key: &str) -> &'a str {
 
 #[test]
 fn lock_order_graph_is_acyclic_with_the_sharded_pager_hierarchy() {
-    let analysis = analyze_workspace(workspace_root()).expect("workspace parses");
-    let json = analysis.lock_order_json();
+    let outcome = lint_workspace(workspace_root(), &Config::default()).expect("workspace parses");
+    let json = outcome.lock_order_json;
 
     // Acyclic: the cycles array must be literally empty.
     let cycles = json_section(&json, "cycles");

@@ -155,10 +155,18 @@ impl NaiveLabeling {
         let mut w = boxes_pager::VecWriter::new();
         w.u64(self.slots);
         w.u64(self.relabel_count);
+        #[expect(
+            clippy::expect_used,
+            reason = "blocks is non-empty after setup: relabel_all always allocates at least one block"
+        )]
         w.u32(boxes_pager::codec::usize_to_u32(self.free.len()).expect("free list fits u32"));
         for &slot in &self.free {
             w.u64(slot);
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "blocks is non-empty after setup: relabel_all always allocates at least one block"
+        )]
         w.u32(boxes_pager::codec::usize_to_u32(self.blocks.len()).expect("directory fits u32"));
         for b in &self.blocks {
             w.u32(b.0);
@@ -269,6 +277,10 @@ impl NaiveLabeling {
                 if lid.0.is_multiple_of(usize_to_u64(self.recs_per_block)) {
                     self.blocks.push(self.pager.alloc());
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "blocks is non-empty after setup: relabel_all always allocates at least one block"
+                )]
                 *self.blocks.last().expect("block exists")
             };
             let mut buf = self.pager.read(block);

@@ -249,6 +249,10 @@ impl<'a> Reader<'a> {
 
     #[inline]
     fn take<const N: usize>(&mut self) -> [u8; N] {
+        #[expect(
+            clippy::expect_used,
+            reason = "Reader/Writer block under/overrun is a codec contract violation, pinned by a should_panic test"
+        )]
         let bytes: [u8; N] = self
             .buf
             .get(self.pos..self.pos + N)
@@ -287,6 +291,10 @@ impl<'a> Reader<'a> {
     /// Borrow the next `n` raw bytes and advance past them.
     #[inline]
     pub fn bytes(&mut self, n: usize) -> &'a [u8] {
+        #[expect(
+            clippy::expect_used,
+            reason = "Reader/Writer block under/overrun is a codec contract violation, pinned by a should_panic test"
+        )]
         let slice = self
             .buf
             .get(self.pos..self.pos + n)

@@ -18,6 +18,11 @@
 //! wrong block size, a short/partial slot on disk — are typed
 //! [`FileError`]s rather than unspecified behavior.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the pager's file backend is the designated disk surface"
+)]
+
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::path::Path;
@@ -27,7 +32,7 @@ use crate::vfs::RawFile;
 use crate::{DiskBlock, DiskImage};
 
 /// Magic bytes opening every pager file (versioned).
-pub const FILE_MAGIC: [u8; 8] = *b"BOXPGR01";
+pub(crate) const FILE_MAGIC: [u8; 8] = *b"BOXPGR01";
 /// Bytes of file header before the first slot.
 const HEADER_SIZE: u64 = 16;
 /// Bytes of per-slot trailer: crc32 (4) + alloc flag (1) + padding (3).
@@ -110,7 +115,7 @@ pub(crate) struct FileStore {
 
 impl FileStore {
     /// Create (or truncate) the backing file and write its header.
-    pub fn create(path: &Path, block_size: usize) -> Result<Self, FileError> {
+    pub(crate) fn create(path: &Path, block_size: usize) -> Result<Self, FileError> {
         let file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -130,7 +135,7 @@ impl FileStore {
 
     /// Reopen an existing pager file, validating the header and rebuilding
     /// the allocation bitmap from the per-slot trailer flags.
-    pub fn open(path: &Path, block_size: usize) -> Result<Self, FileError> {
+    pub(crate) fn open(path: &Path, block_size: usize) -> Result<Self, FileError> {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
         let file_len = read_header(&file, block_size)?;
         let slot = codec::usize_to_u64(block_size + TRAILER_SIZE);
@@ -157,23 +162,23 @@ impl FileStore {
     }
 
     /// Number of block slots ever created (allocated or freed).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.allocated.len()
     }
 
     /// Is slot `idx` currently allocated?
-    pub fn is_allocated(&self, idx: usize) -> bool {
+    pub(crate) fn is_allocated(&self, idx: usize) -> bool {
         self.allocated.get(idx).copied().unwrap_or(false)
     }
 
     /// Number of currently-allocated blocks.
-    pub fn allocated_count(&self) -> usize {
+    pub(crate) fn allocated_count(&self) -> usize {
         self.allocated.iter().filter(|&&a| a).count()
     }
 
     /// Slot indices currently deallocated, highest first (so a rebuilt free
     /// list recycles low indices first and the file stays compact).
-    pub fn free_indices(&self) -> Vec<usize> {
+    pub(crate) fn free_indices(&self) -> Vec<usize> {
         (0..self.allocated.len())
             .rev()
             .filter(|&i| !self.allocated[i])
@@ -232,35 +237,47 @@ impl FileStore {
     }
 
     /// Append a fresh zero-filled block slot.
-    pub fn push_zeroed(&mut self) {
+    pub(crate) fn push_zeroed(&mut self) {
         let idx = self.allocated.len();
         self.allocated.push(true);
         let zeros = vec![0u8; self.block_size];
+        #[expect(
+            clippy::panic,
+            reason = "backing-file open/seek/read/write failures are fatal by design — the store is documented as not crash-safe"
+        )]
         self.write_slot(idx, &zeros, true)
             .unwrap_or_else(|e| panic!("pager file append failed: {e}"));
     }
 
     /// Re-allocate a previously-freed slot, zeroing its contents.
-    pub fn reuse_zeroed(&mut self, idx: usize) {
+    pub(crate) fn reuse_zeroed(&mut self, idx: usize) {
         assert!(!self.allocated[idx], "reuse of a live block");
         self.allocated[idx] = true;
         let zeros = vec![0u8; self.block_size];
+        #[expect(
+            clippy::panic,
+            reason = "backing-file open/seek/read/write failures are fatal by design — the store is documented as not crash-safe"
+        )]
         self.write_slot(idx, &zeros, true)
             .unwrap_or_else(|e| panic!("pager file reuse failed: {e}"));
     }
 
     /// Mark slot `idx` free, persisting the trailer flag so a reopen sees
     /// the hole; the data bytes stay on disk until reuse.
-    pub fn deallocate(&mut self, idx: usize) {
+    pub(crate) fn deallocate(&mut self, idx: usize) {
         self.allocated[idx] = false;
         let offset = self.slot_offset(idx) + codec::usize_to_u64(self.block_size);
+        #[expect(
+            clippy::panic,
+            reason = "backing-file open/seek/read/write failures are fatal by design — the store is documented as not crash-safe"
+        )]
         self.file
             .write_all_at(&[0u8; TRAILER_SIZE], offset)
             .unwrap_or_else(|e| panic!("pager file deallocate failed: {e}"));
     }
 
     /// Read and checksum-verify the block at slot `idx`.
-    pub fn read(&self, idx: usize, block_size: usize) -> Result<Box<[u8]>, FileError> {
+    pub(crate) fn read(&self, idx: usize, block_size: usize) -> Result<Box<[u8]>, FileError> {
         if !self.is_allocated(idx) {
             return Err(FileError::Unallocated(idx));
         }
@@ -274,7 +291,7 @@ impl FileStore {
     }
 
     /// Write `data` and a fresh trailer over the block at slot `idx`.
-    pub fn write(&mut self, idx: usize, data: &[u8]) -> Result<(), FileError> {
+    pub(crate) fn write(&mut self, idx: usize, data: &[u8]) -> Result<(), FileError> {
         if !self.is_allocated(idx) {
             return Err(FileError::Unallocated(idx));
         }
@@ -284,7 +301,7 @@ impl FileStore {
     /// Torn-write mode: persist only `prefix` (a strict prefix of the block)
     /// and leave the trailer untouched, so the stored checksum goes stale —
     /// the crash-injection model of a partial sector write.
-    pub fn write_torn(&mut self, idx: usize, prefix: &[u8]) -> Result<(), FileError> {
+    pub(crate) fn write_torn(&mut self, idx: usize, prefix: &[u8]) -> Result<(), FileError> {
         if !self.is_allocated(idx) {
             return Err(FileError::Unallocated(idx));
         }
@@ -294,7 +311,7 @@ impl FileStore {
 
     /// Raw block bytes plus the *stored* checksum, without verification —
     /// for crash-recovery inspection of possibly-torn slots.
-    pub fn raw(&self, idx: usize, block_size: usize) -> Option<(Box<[u8]>, u32)> {
+    pub(crate) fn raw(&self, idx: usize, block_size: usize) -> Option<(Box<[u8]>, u32)> {
         if !self.is_allocated(idx) {
             return None;
         }

@@ -711,7 +711,11 @@ impl Backend {
                         // checksum left stale — exactly bit rot. If the slot
                         // vanished mid-corruption there is no media left to
                         // damage and the fault evaporates, so either outcome
-                        // is acceptable (BX008 suppressed in lint.toml).
+                        // is acceptable.
+                        #[expect(
+                            clippy::let_underscore_must_use,
+                            reason = "corruption-injection primitive — a vanished slot means nothing left to damage; success and failure are both acceptable outcomes"
+                        )]
                         let _ = f.write_torn(id.index(), &data);
                     }
                 }
@@ -722,6 +726,10 @@ impl Backend {
     fn write(&mut self, id: BlockId, data: Box<[u8]>) {
         match self {
             Backend::Memory(t) => t.write(id.0, data),
+            #[expect(
+                clippy::panic,
+                reason = "reading an unallocated block is a caller contract violation documented on Pager::read"
+            )]
             Backend::File(f) => f
                 .write(id.index(), &data)
                 .unwrap_or_else(|e| panic!("write of {id:?} failed: {e}")),
@@ -733,11 +741,19 @@ impl Backend {
     fn write_torn(&mut self, id: BlockId, data: &[u8], prefix: usize) {
         let n = prefix.min(data.len());
         match self {
+            #[expect(
+                clippy::panic,
+                reason = "reading an unallocated block is a caller contract violation documented on Pager::read"
+            )]
             Backend::Memory(t) => {
                 if !t.write_torn(id.0, data, n) {
                     panic!("torn write of unallocated {id:?}");
                 }
             }
+            #[expect(
+                clippy::panic,
+                reason = "reading an unallocated block is a caller contract violation documented on Pager::read"
+            )]
             Backend::File(f) => f
                 .write_torn(id.index(), &data[..n])
                 .unwrap_or_else(|e| panic!("torn write of {id:?} failed: {e}")),
@@ -823,6 +839,10 @@ impl Pager {
         let table: TableRef = Arc::new(PageTable::new());
         let backend = match &config.file {
             None => Backend::Memory(TableRef::clone(&table)),
+            #[expect(
+                clippy::panic,
+                reason = "reading an unallocated block is a caller contract violation documented on Pager::read"
+            )]
             Some(path) => Backend::File(
                 file::FileStore::create(path, config.block_size)
                     .unwrap_or_else(|e| panic!("cannot create pager file {path:?}: {e}")),
@@ -1100,6 +1120,10 @@ impl Pager {
             .chain(inner.overlay.freed.iter().map(|id| id.0))
             .chain(freed.iter().map(|id| id.0))
             .collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "reading an unallocated block is a caller contract violation documented on Pager::read"
+        )]
         meta.u32(codec::usize_to_u32(free_after.len()).expect("free list fits u32"));
         for raw in free_after {
             meta.u32(raw);
@@ -1246,8 +1270,16 @@ impl Pager {
                 }
                 WriteFault::TearAndCrash(prefix) => {
                     inner.backend.write_torn(id, &data, prefix);
+                    #[expect(
+                        clippy::panic,
+                        reason = "crash injection unwinds with the typed CrashSignal by design; the crash sweeps catch it"
+                    )]
                     std::panic::panic_any(CrashSignal);
                 }
+                #[expect(
+                    clippy::panic,
+                    reason = "crash injection unwinds with the typed CrashSignal by design; the crash sweeps catch it"
+                )]
                 WriteFault::Crash => std::panic::panic_any(CrashSignal),
                 WriteFault::ShortWrite(prefix) => {
                     // The media now holds a stale-checksum prefix; the retry
@@ -1306,6 +1338,10 @@ impl Pager {
             if !attempt_failed {
                 match inner.backend.try_read(id, block_size) {
                     Ok(data) => return Ok(data),
+                    #[expect(
+                        clippy::panic,
+                        reason = "reading an unallocated block is a caller contract violation documented on Pager::read"
+                    )]
                     Err(ReadFailure::Unallocated) => panic!("read of unallocated {id:?}"),
                     Err(ReadFailure::Checksum) => return Self::repair_block(inner, id, block_size),
                     Err(ReadFailure::Io) => {}
@@ -1440,6 +1476,10 @@ impl Pager {
         assert!(self.view.is_none(), "snapshot views are read-only");
         let mut inner = self.lock();
         if let Some(reason) = inner.degraded {
+            #[expect(
+                clippy::panic,
+                reason = "the infallible Pager API reports a disk fault by unwinding with a typed PagerError; callers that must not panic use the try_* surface"
+            )]
             std::panic::panic_any(PagerError::Degraded(reason));
         }
         inner.stats.allocs += 1;
@@ -1491,11 +1531,19 @@ impl Pager {
         assert!(self.view.is_none(), "snapshot views are read-only");
         let mut inner = self.lock();
         if let Some(reason) = inner.degraded {
+            #[expect(
+                clippy::panic,
+                reason = "the infallible Pager API reports a disk fault by unwinding with a typed PagerError; callers that must not panic use the try_* surface"
+            )]
             std::panic::panic_any(PagerError::Degraded(reason));
         }
         if inner.pool.is_pinned(id) {
             // A pinned frame is promised to stay readable; freeing the block
             // under it would break that promise, so it is a typed error.
+            #[expect(
+                clippy::panic,
+                reason = "the infallible Pager API reports a disk fault by unwinding with a typed PagerError; callers that must not panic use the try_* surface"
+            )]
             std::panic::panic_any(PagerError::Pinned { block: id });
         }
         inner.stats.frees += 1;
@@ -1541,6 +1589,10 @@ impl Pager {
     pub fn read(&self, id: BlockId) -> Box<[u8]> {
         match self.read_impl(id) {
             Ok(data) => data,
+            #[expect(
+                clippy::panic,
+                reason = "the infallible Pager API reports a disk fault by unwinding with a typed PagerError; callers that must not panic use the try_* surface"
+            )]
             Err(err) => std::panic::panic_any(err),
         }
     }
@@ -1607,6 +1659,10 @@ impl Pager {
     /// outside a [`TxnScope`] — contract violations.
     pub fn write(&self, id: BlockId, data: &[u8]) {
         if let Err(err) = self.write_impl(id, data) {
+            #[expect(
+                clippy::panic,
+                reason = "the infallible Pager API reports a disk fault by unwinding with a typed PagerError; callers that must not panic use the try_* surface"
+            )]
             std::panic::panic_any(err);
         }
     }
@@ -1695,6 +1751,10 @@ impl Pager {
         let mut inner = self.lock();
         for (id, data) in inner.pool.take_dirty() {
             if let Err(err) = Self::write_back(&mut inner, id, data) {
+                #[expect(
+                    clippy::panic,
+                    reason = "the infallible Pager API reports a disk fault by unwinding with a typed PagerError; callers that must not panic use the try_* surface"
+                )]
                 std::panic::panic_any(err);
             }
         }
@@ -1707,7 +1767,6 @@ impl Pager {
     }
 
     /// Snapshot of the I/O counters.
-    #[must_use]
     pub fn stats(&self) -> IoStats {
         self.lock().stats
     }

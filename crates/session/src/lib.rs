@@ -310,12 +310,20 @@ impl<S: SessionScheme> WriterSession<'_, S> {
 impl<S: SessionScheme> Deref for WriterSession<'_, S> {
     type Target = S;
     fn deref(&self) -> &S {
+        #[expect(
+            clippy::expect_used,
+            reason = "WriterSession.scheme is Some for the whole session lifetime by construction — only Drop takes it, so Deref after Drop is unreachable"
+        )]
         self.scheme.as_ref().expect("scheme present until drop")
     }
 }
 
 impl<S: SessionScheme> DerefMut for WriterSession<'_, S> {
     fn deref_mut(&mut self) -> &mut S {
+        #[expect(
+            clippy::expect_used,
+            reason = "WriterSession.scheme is Some for the whole session lifetime by construction — only Drop takes it, so Deref after Drop is unreachable"
+        )]
         self.scheme.as_mut().expect("scheme present until drop")
     }
 }
@@ -372,7 +380,6 @@ impl<S: SessionScheme> Snapshot<S> {
 
     /// I/O charged to this snapshot so far (the view pager's own counters —
     /// disjoint from the base pager's).
-    #[must_use]
     pub fn io(&self) -> IoStats {
         self.scheme.pager().stats()
     }

@@ -42,12 +42,13 @@
 //!
 //! # Determinism
 //!
-//! There is no wall clock anywhere (lint rule BX007): time is a logical
-//! tick counter advanced once per span open and once per close, so two
-//! runs of the same seeded workload produce byte-identical reports. Span
+//! There is no wall clock anywhere (the workspace bans `Instant` and
+//! `SystemTime` in library code): time is a logical tick counter advanced
+//! once per span open and once per close, so two runs of the same seeded
+//! workload produce byte-identical reports. Span
 //! stacks are *per-thread by key, not thread-local by storage*: the
 //! mutex-guarded registry keys each stack by `ThreadId`, so the whole
-//! tracer is a single `Sync` value (sync-readiness rule BX018).
+//! tracer is a single `Sync` value (the workspace bans `thread_local!`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -334,8 +335,7 @@ const EVENT_CAPACITY: usize = 4096;
 
 /// The shared registry, span stacks included: stacks are keyed by
 /// `ThreadId` inside the one mutex-guarded global rather than living in
-/// `thread_local!` storage, so the whole tracer is a single `Sync` value
-/// (sync-readiness rule BX018).
+/// `thread_local!` storage, so the whole tracer is a single `Sync` value.
 #[derive(Default)]
 struct Tracer {
     next_id: u64,
@@ -491,7 +491,8 @@ fn close_span(id: u64, end: &TraceCounters) {
 
 /// RAII span: open at construction, closed on drop. Bind it to a named
 /// local — `let _span = OpSpan::op(...)` — so it lives for the scope;
-/// binding to `_` or leaking it defeats attribution (lint rule BX009).
+/// binding to `_` or leaking it defeats attribution, and the workspace
+/// lints `let_underscore_must_use` and `mem_forget` reject both.
 #[must_use = "an unbound span closes immediately and attributes nothing"]
 pub struct OpSpan {
     id: u64,

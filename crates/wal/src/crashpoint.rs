@@ -81,6 +81,10 @@ impl CrashClock {
     pub fn tick(&self) {
         let now = self.advance();
         if self.armed_at(now) {
+            #[expect(
+                clippy::panic,
+                reason = "crash injection unwinds with the typed CrashSignal by design; the crash sweeps catch it"
+            )]
             std::panic::panic_any(boxes_pager::CrashSignal);
         }
     }

@@ -498,4 +498,98 @@ mod tests {
         );
         let _ = std::fs::remove_file(&log);
     }
+
+    /// A log store whose rotation fails. With `published` set it fails
+    /// after the rename, like a parent-directory fsync error; otherwise it
+    /// fails before, leaving the old log in place.
+    struct FailingRotation {
+        inner: MemLogStore,
+        published: bool,
+    }
+
+    impl LogStore for FailingRotation {
+        fn append(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
+            self.inner.append(bytes)
+        }
+        fn sync(&mut self) -> Result<(), StoreError> {
+            self.inner.sync()
+        }
+        fn durable(&self) -> Result<Vec<u8>, StoreError> {
+            self.inner.durable()
+        }
+        fn durable_len(&self) -> u64 {
+            self.inner.durable_len()
+        }
+        fn pending_len(&self) -> u64 {
+            self.inner.pending_len()
+        }
+        fn rotate(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
+            if !self.published {
+                return Err(StoreError::Io(std::io::Error::other(
+                    "side file write failed",
+                )));
+            }
+            self.inner.rotate(bytes)?;
+            Err(StoreError::RotationNotDurable(std::io::Error::other(
+                "directory fsync failed",
+            )))
+        }
+    }
+
+    /// A WAL that checkpoints after every commit, over a failing rotation.
+    fn wal_over_failing_rotation(published: bool) -> std::sync::Arc<Wal> {
+        let config = WalConfig {
+            sync_every: 1,
+            checkpoint_every: 1,
+        };
+        let store = Box::new(FailingRotation {
+            inner: MemLogStore::new(),
+            published,
+        });
+        Wal::with_store(BS, config, None, store)
+    }
+
+    fn meta_record() -> boxes_pager::TxnRecord {
+        boxes_pager::TxnRecord {
+            frames: Vec::new(),
+            freed: Vec::new(),
+            metas: vec![("test".to_string(), vec![1])],
+        }
+    }
+
+    #[test]
+    fn rotation_that_is_not_durable_poisons_the_log() {
+        use boxes_pager::{Journal, JournalAck};
+        let wal = wal_over_failing_rotation(true);
+        let record = meta_record();
+        assert_eq!(wal.commit(&record), JournalAck::Durable);
+        assert!(!wal.poisoned());
+        // The checkpoint rotates the log, and the rename is not durable.
+        wal.applied();
+        assert!(wal.poisoned(), "a non-durable rotation must poison the log");
+        assert_eq!(wal.stats().checkpoints, 0);
+        assert_eq!(wal.commit(&record), JournalAck::Lost);
+    }
+
+    #[test]
+    fn rotation_that_fails_before_the_rename_keeps_the_log_live() {
+        use boxes_pager::{Journal, JournalAck};
+        let wal = wal_over_failing_rotation(false);
+        let record = meta_record();
+        assert_eq!(wal.commit(&record), JournalAck::Durable);
+        let first = wal.durable_bytes();
+        // The old log is intact and durable: keep it, do not poison.
+        wal.applied();
+        assert!(
+            !wal.poisoned(),
+            "a failed side-file write is not a poisoning event"
+        );
+        assert_eq!(wal.stats().checkpoints, 0);
+        assert_eq!(wal.commit(&record), JournalAck::Durable);
+        let log = wal.durable_bytes();
+        assert!(
+            log.len() > first.len() && log.starts_with(&first),
+            "the second commit appends to the old, unrotated log"
+        );
+    }
 }

@@ -16,7 +16,8 @@
 //!
 //! # fsync-failure poisoning
 //!
-//! A failed durability operation (append or fsync) **poisons** the log:
+//! A failed durability operation (append, fsync, or the directory fsync
+//! that makes a checkpoint rotation's rename durable) **poisons** the log:
 //! after a failed fsync the kernel may have dropped the dirty pages while
 //! keeping the file position advanced, so a retried fsync that "succeeds"
 //! proves nothing about the lost window (the fsyncgate failure mode). The
@@ -354,10 +355,17 @@ impl Journal for Wal {
         let bytes = frame::encode(&rec, self.block_size);
         // Atomic log rotation: the new durable log is just the checkpoint
         // record. On a file store this is write-side-file + fsync + rename
-        // (+ parent-dir fsync); a rotation failure keeps the old log, which
-        // is longer but equally valid — not a poisoning event.
-        if inner.store.rotate(&bytes).is_err() {
-            return;
+        // + parent-dir fsync. A failure before the rename keeps the old
+        // log, which is longer but equally valid — not a poisoning event.
+        // A failure after it leaves a live log whose rename may not survive
+        // a power cut: poison, never retry.
+        match inner.store.rotate(&bytes) {
+            Ok(()) => {}
+            Err(StoreError::RotationNotDurable(_)) => {
+                inner.poisoned = true;
+                return;
+            }
+            Err(_) => return,
         }
         inner.stats.appended_bytes += codec::usize_to_u64(bytes.len());
         inner.stats.checkpoints += 1;

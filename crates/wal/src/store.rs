@@ -22,6 +22,11 @@
 //! treat them as lost and never retry the sync; see the fsyncgate
 //! discussion on [`LogStore::sync`]).
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the file-backed WAL store is a designated disk surface, under the accounted layer"
+)]
+
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
@@ -49,6 +54,11 @@ pub enum StoreError {
         /// Block size the caller requested.
         requested: usize,
     },
+    /// A checkpoint rotation published the new log (the rename happened)
+    /// but could not make the rename durable. Later commits land on the new
+    /// file, which a power cut may roll back to the old log, so the caller
+    /// must poison the log instead of acking them.
+    RotationNotDurable(std::io::Error),
 }
 
 impl fmt::Display for StoreError {
@@ -60,6 +70,9 @@ impl fmt::Display for StoreError {
                 f,
                 "WAL block size mismatch: file has {file}, caller requested {requested}"
             ),
+            StoreError::RotationNotDurable(e) => {
+                write!(f, "WAL rotation published but not durable: {e}")
+            }
         }
     }
 }
@@ -67,7 +80,7 @@ impl fmt::Display for StoreError {
 impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            StoreError::Io(e) => Some(e),
+            StoreError::Io(e) | StoreError::RotationNotDurable(e) => Some(e),
             _ => None,
         }
     }
@@ -105,9 +118,10 @@ pub trait LogStore: Send {
     fn pending_len(&self) -> u64;
 
     /// Atomically replace the whole log with `bytes`, durably — checkpoint
-    /// rotation. On error the old log must remain intact and durable (the
-    /// caller keeps the longer, still-valid log). Only called when the
-    /// pending window is empty.
+    /// rotation. On [`StoreError::RotationNotDurable`] the new log is live
+    /// but may not survive a power cut; on any other error the old log
+    /// must remain intact and durable (the caller keeps the longer,
+    /// still-valid log). Only called when the pending window is empty.
     fn rotate(&mut self, bytes: &[u8]) -> Result<(), StoreError>;
 }
 
@@ -331,21 +345,42 @@ impl LogStore for FileLogStore {
         self.synced_len = new_len;
         self.appended_len = new_len;
         // Make the rename itself durable by fsyncing the parent directory.
-        // If this fails, either the old or the new file survives a power
-        // cut at the path — both are valid, self-contained logs — so the
-        // rotation still counts as complete for the live handle.
-        if let Some(parent) = self.path.parent() {
-            if let Ok(dir) = File::open(parent) {
-                let _ = dir.sync_all();
-            }
-        }
-        Ok(())
+        // The new file is already live: commits acked from here on land on
+        // its inode, and a power cut before the directory reaches the
+        // medium can bring the old log back without them.
+        File::open(parent_dir(&self.path))
+            .and_then(|dir| dir.sync_all())
+            .map_err(StoreError::RotationNotDurable)
+    }
+}
+
+/// The directory whose entry names `path`. A bare file name has the empty
+/// path as its parent, which `File::open` rejects, so it resolves to `.`.
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parent_dir_of_a_bare_name_is_the_current_directory() {
+        assert_eq!(parent_dir(Path::new("wal.bin")), Path::new("."));
+        assert_eq!(parent_dir(Path::new("logs/wal.bin")), Path::new("logs"));
+        assert_eq!(parent_dir(Path::new("/wal.bin")), Path::new("/"));
+    }
+
+    #[test]
+    fn rotation_not_durable_names_its_cause() {
+        use std::error::Error as _;
+        let err = StoreError::RotationNotDurable(std::io::Error::other("dir fsync"));
+        assert!(err.to_string().contains("not durable: dir fsync"), "{err}");
+        assert!(err.source().is_some(), "the io error stays reachable");
+    }
 
     fn temp_path(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();

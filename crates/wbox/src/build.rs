@@ -28,7 +28,7 @@ pub(crate) struct LeafUnit {
 
 impl LeafUnit {
     /// A not-yet-persisted unit holding `recs`, with no tombstones.
-    pub fn fresh(recs: Vec<LeafRecord>) -> Self {
+    pub(crate) fn fresh(recs: Vec<LeafRecord>) -> Self {
         LeafUnit {
             block: None,
             tombstones: 0,
@@ -38,7 +38,7 @@ impl LeafUnit {
 
     /// Weight as charged by the W-BOX balance invariant: live records plus
     /// tombstones.
-    pub fn weight(&self) -> u64 {
+    pub(crate) fn weight(&self) -> u64 {
         usize_to_u64(self.recs.len()) + u64::from(self.tombstones)
     }
 }
@@ -63,6 +63,10 @@ impl WBox {
         self.journaled(|t| t.bulk_load_impl(partner_of.len(), Some(partner_of)))
     }
 
+    #[expect(
+        clippy::as_conversions,
+        reason = "bulk-load capacity formula widens small config ints; pow exponent is a tree level <= D"
+    )]
     fn bulk_load_impl(&mut self, count: usize, partner_of: Option<&[usize]>) -> Vec<Lid> {
         assert!(
             self.is_empty() && self.height() == 1,
@@ -85,11 +89,19 @@ impl WBox {
         for (&size, &block) in sizes.iter().zip(&blocks) {
             let mut recs = Vec::with_capacity(size);
             for _ in 0..size {
+                #[expect(
+                    clippy::as_conversions,
+                    reason = "bulk-load capacity formula widens small config ints; pow exponent is a tree level <= D"
+                )]
                 let lid = Lid(idx as u64);
                 let rec = match partner_of {
                     Some(p) => LeafRecord {
                         lid,
                         is_start: idx < p[idx],
+                        #[expect(
+                            clippy::as_conversions,
+                            reason = "bulk-load capacity formula widens small config ints; pow exponent is a tree level <= D"
+                        )]
                         partner_lid: Lid(p[idx] as u64),
                         partner: BlockId::INVALID, // filled by the builder
                         end_cache: 0,
@@ -113,6 +125,10 @@ impl WBox {
         self.pager().free(old_root);
         let (root, height) = self.build_auto(units);
         self.set_root(root, height);
+        #[expect(
+            clippy::as_conversions,
+            reason = "bulk-load capacity formula widens small config ints; pow exponent is a tree level <= D"
+        )]
         self.set_live(count as u64);
         lids
     }
@@ -123,6 +139,10 @@ impl WBox {
         let _phase = OpSpan::phase(self.pager(), "rebuild");
         self.bump_counter(|c| c.global_rebuilds += 1);
         self.note_relabel(0, u64::MAX);
+        #[expect(
+            clippy::as_conversions,
+            reason = "bulk-load capacity formula widens small config ints; pow exponent is a tree level <= D"
+        )]
         let mut records = Vec::with_capacity(self.len() as usize);
         self.collect_records_and_free(self.root_id(), &mut records);
         let live = usize_to_u64(records.len());
@@ -194,6 +214,10 @@ impl WBox {
     /// Group levels bottom-up until a single node remains (or until the
     /// forced target level when `force_top` is set). Nothing is written;
     /// subrange indices are final, label ranges are not yet assigned.
+    #[expect(
+        clippy::expect_used,
+        reason = "bulk-load level vectors are non-empty by construction (each level emits >= 1 node)"
+    )]
     fn build_pyramid(
         &mut self,
         leaves: Vec<(BlockId, WNode)>,
@@ -202,6 +226,10 @@ impl WBox {
         let mut pyramid = vec![leaves];
         let mut level = 0usize;
         loop {
+            #[expect(
+                clippy::expect_used,
+                reason = "bulk-load level vectors are non-empty by construction (each level emits >= 1 node)"
+            )]
             let current = pyramid.last().expect("non-empty pyramid");
             let at_forced_top = force_top.is_some_and(|(t, _)| level == t);
             if at_forced_top || (force_top.is_none() && current.len() == 1 && level > 0) {
@@ -216,6 +244,10 @@ impl WBox {
             let groups = if force_single {
                 vec![pyramid.last().expect("level").len()]
             } else {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "bulk-load level vectors are non-empty by construction (each level emits >= 1 node)"
+                )]
                 group_level(
                     pyramid.last().expect("level"),
                     self.config().max_weight(level) / 2,
@@ -226,6 +258,10 @@ impl WBox {
             let is_top_alloc = force_top
                 .filter(|(t, _)| level == *t)
                 .map(|(_, block)| block);
+            #[expect(
+                clippy::expect_used,
+                reason = "bulk-load level vectors are non-empty by construction (each level emits >= 1 node)"
+            )]
             let current = pyramid.last().expect("level");
             let mut cursor = 0usize;
             for (gi, gsize) in groups.iter().enumerate() {
@@ -241,6 +277,7 @@ impl WBox {
                     .enumerate()
                     .map(|(t, (cb, cn))| WEntry {
                         child: *cb,
+                        #[expect(clippy::as_conversions, reason = "bulk-load capacity formula widens small config ints; pow exponent is a tree level <= D")]
                         subrange: (t * self.config().b / c) as u16,
                         weight: cn.weight(),
                         size: cn.size(),
@@ -275,8 +312,16 @@ impl WBox {
             let len = self.config().range_len(level - 1);
             let nodes = &pyramid[level];
             for (block, node) in nodes {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "bulk-load level vectors are non-empty by construction (each level emits >= 1 node)"
+                )]
                 let base = *lo_of.get(block).expect("parent range known");
                 for e in node.entries() {
+                    #[expect(
+                        clippy::as_conversions,
+                        reason = "bulk-load capacity formula widens small config ints; pow exponent is a tree level <= D"
+                    )]
                     lo_of.insert(e.child, base + e.subrange as u64 * len);
                 }
             }
@@ -316,6 +361,10 @@ impl WBox {
         for (block, node) in &leaves {
             let lo = node.range_lo();
             for (i, r) in node.recs().iter().enumerate() {
+                #[expect(
+                    clippy::as_conversions,
+                    reason = "bulk-load capacity formula widens small config ints; pow exponent is a tree level <= D"
+                )]
                 placed.insert(r.lid, (*block, lo + i as u64));
             }
         }
@@ -330,6 +379,10 @@ impl WBox {
                 // Partner lives outside the rebuild: it must learn this
                 // record's new block, and — when this is an end record —
                 // its new label for the partner's cache.
+                #[expect(
+                    clippy::as_conversions,
+                    reason = "bulk-load capacity formula widens small config ints; pow exponent is a tree level <= D"
+                )]
                 let label = lo + i as u64;
                 let cache = (!r.is_start).then_some(label);
                 remote.push((r.partner, r.partner_lid, cache, Some(block)));
@@ -405,6 +458,10 @@ pub(crate) fn leaf_chunk_sizes(total: usize, cap: usize, min_excl: u64) -> Vec<u
     let mut sizes = vec![cap; total / cap];
     let rem = total % cap;
     if rem > 0 {
+        #[expect(
+            clippy::as_conversions,
+            reason = "bulk-load capacity formula widens small config ints; pow exponent is a tree level <= D"
+        )]
         if rem as u64 > min_excl {
             sizes.push(rem);
         } else {
@@ -431,6 +488,10 @@ pub(crate) fn chunk_records(records: Vec<LeafRecord>, cap: usize, min_excl: u64)
 /// Group one level's nodes into parent groups: close a group once its
 /// weight reaches `target` (= aⁱk); a too-light tail merges into the last
 /// group (the combined weight stays below 2aⁱk — see DESIGN.md).
+#[expect(
+    clippy::expect_used,
+    reason = "bulk-load level vectors are non-empty by construction (each level emits >= 1 node)"
+)]
 pub(crate) fn group_level(nodes: &[(BlockId, WNode)], target: u64, min_excl: u64) -> Vec<usize> {
     let mut groups = Vec::new();
     let mut acc = 0u64;

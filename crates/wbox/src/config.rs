@@ -116,6 +116,10 @@ impl WBoxConfig {
     /// Length of the label range owned by a node at `level`:
     /// (2k − 1)·bⁱ.
     pub fn range_len(&self, level: usize) -> u64 {
+        #[expect(
+            clippy::expect_used,
+            reason = "config validation panics on construction with impossible a/b/k — fail-fast at setup, never during maintenance"
+        )]
         usize_to_u64(self.b)
             .checked_pow(level_exp(level))
             .and_then(|p| p.checked_mul(2 * usize_to_u64(self.k) - 1))

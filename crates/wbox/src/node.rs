@@ -21,23 +21,23 @@ use boxes_pager::codec::{usize_to_u16, usize_to_u64};
 use boxes_pager::{BlockId, Reader, Writer};
 
 /// Bytes of the leaf header.
-pub const LEAF_HEADER: usize = 13;
+pub(crate) const LEAF_HEADER: usize = 13;
 /// Bytes per leaf entry without pair optimization.
-pub const LEAF_ENTRY_PLAIN: usize = 8;
+pub(crate) const LEAF_ENTRY_PLAIN: usize = 8;
 /// Bytes per leaf entry with pair optimization
 /// (lid + flag + partner lid + partner block + cached end label).
-pub const LEAF_ENTRY_PAIR: usize = 29;
+pub(crate) const LEAF_ENTRY_PAIR: usize = 29;
 /// Bytes of the internal header.
-pub const INTERNAL_HEADER: usize = 3;
+pub(crate) const INTERNAL_HEADER: usize = 3;
 /// Bytes per internal entry (child + subrange + weight + size).
-pub const INTERNAL_ENTRY: usize = 22;
+pub(crate) const INTERNAL_ENTRY: usize = 22;
 
 const KIND_LEAF: u8 = 0;
 const KIND_INTERNAL: u8 = 1;
 
 /// One live leaf record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LeafRecord {
+pub(crate) struct LeafRecord {
     /// The label's immutable ID.
     pub lid: Lid,
     /// Pair mode: whether this is a start label.
@@ -53,7 +53,7 @@ pub struct LeafRecord {
 
 impl LeafRecord {
     /// Plain record (no pair bookkeeping).
-    pub fn plain(lid: Lid) -> Self {
+    pub(crate) fn plain(lid: Lid) -> Self {
         LeafRecord {
             lid,
             is_start: false,
@@ -66,7 +66,7 @@ impl LeafRecord {
 
 /// One child entry of an internal node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WEntry {
+pub(crate) struct WEntry {
     /// The child block.
     pub child: BlockId,
     /// Which of the parent's b subranges the child owns.
@@ -79,7 +79,7 @@ pub struct WEntry {
 
 /// Decoded W-BOX node.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WNode {
+pub(crate) enum WNode {
     /// Leaf: live records in label order plus a tombstone count.
     Leaf {
         /// First label of the leaf's range.
@@ -98,7 +98,7 @@ pub enum WNode {
 
 impl WNode {
     /// Empty leaf owning the range starting at `range_lo`.
-    pub fn leaf(range_lo: u64) -> Self {
+    pub(crate) fn leaf(range_lo: u64) -> Self {
         WNode::Leaf {
             range_lo,
             tombstones: 0,
@@ -107,12 +107,12 @@ impl WNode {
     }
 
     /// Whether this is a leaf.
-    pub fn is_leaf(&self) -> bool {
+    pub(crate) fn is_leaf(&self) -> bool {
         matches!(self, WNode::Leaf { .. })
     }
 
     /// Weight of this node: leaf records incl. tombstones, or entry sum.
-    pub fn weight(&self) -> u64 {
+    pub(crate) fn weight(&self) -> u64 {
         match self {
             WNode::Leaf {
                 recs, tombstones, ..
@@ -122,7 +122,7 @@ impl WNode {
     }
 
     /// Live records below this node.
-    pub fn size(&self) -> u64 {
+    pub(crate) fn size(&self) -> u64 {
         match self {
             WNode::Leaf { recs, .. } => usize_to_u64(recs.len()),
             WNode::Internal { entries } => entries.iter().map(|e| e.size).sum(),
@@ -130,47 +130,71 @@ impl WNode {
     }
 
     /// Leaf records (panics on internal nodes).
-    pub fn recs(&self) -> &Vec<LeafRecord> {
+    pub(crate) fn recs(&self) -> &Vec<LeafRecord> {
         match self {
             WNode::Leaf { recs, .. } => recs,
+            #[expect(
+                clippy::panic,
+                reason = "node-kind projections, the on-disk u16 count bound (fanout << u16::MAX), and decode are documented contracts; auditors use try_decode"
+            )]
             _ => panic!("expected a W-BOX leaf"),
         }
     }
 
     /// Mutable leaf records (panics on internal nodes).
-    pub fn recs_mut(&mut self) -> &mut Vec<LeafRecord> {
+    pub(crate) fn recs_mut(&mut self) -> &mut Vec<LeafRecord> {
         match self {
             WNode::Leaf { recs, .. } => recs,
+            #[expect(
+                clippy::panic,
+                reason = "node-kind projections, the on-disk u16 count bound (fanout << u16::MAX), and decode are documented contracts; auditors use try_decode"
+            )]
             _ => panic!("expected a W-BOX leaf"),
         }
     }
 
     /// Leaf range start (panics on internal nodes).
-    pub fn range_lo(&self) -> u64 {
+    pub(crate) fn range_lo(&self) -> u64 {
         match self {
             WNode::Leaf { range_lo, .. } => *range_lo,
+            #[expect(
+                clippy::panic,
+                reason = "node-kind projections, the on-disk u16 count bound (fanout << u16::MAX), and decode are documented contracts; auditors use try_decode"
+            )]
             _ => panic!("expected a W-BOX leaf"),
         }
     }
 
     /// Internal entries (panics on leaves).
-    pub fn entries(&self) -> &Vec<WEntry> {
+    pub(crate) fn entries(&self) -> &Vec<WEntry> {
         match self {
             WNode::Internal { entries } => entries,
+            #[expect(
+                clippy::panic,
+                reason = "node-kind projections, the on-disk u16 count bound (fanout << u16::MAX), and decode are documented contracts; auditors use try_decode"
+            )]
             _ => panic!("expected a W-BOX internal node"),
         }
     }
 
     /// Mutable internal entries (panics on leaves).
-    pub fn entries_mut(&mut self) -> &mut Vec<WEntry> {
+    pub(crate) fn entries_mut(&mut self) -> &mut Vec<WEntry> {
         match self {
             WNode::Internal { entries } => entries,
+            #[expect(
+                clippy::panic,
+                reason = "node-kind projections, the on-disk u16 count bound (fanout << u16::MAX), and decode are documented contracts; auditors use try_decode"
+            )]
             _ => panic!("expected a W-BOX internal node"),
         }
     }
 
     /// Position of a LID among the leaf's live records.
-    pub fn position_of_lid(&self, lid: Lid) -> usize {
+    pub(crate) fn position_of_lid(&self, lid: Lid) -> usize {
+        #[expect(
+            clippy::panic,
+            reason = "node-kind projections, the on-disk u16 count bound (fanout << u16::MAX), and decode are documented contracts; auditors use try_decode"
+        )]
         self.recs()
             .iter()
             .position(|r| r.lid == lid)
@@ -178,7 +202,7 @@ impl WNode {
     }
 
     /// Serialize into a block buffer. `pair` selects the leaf entry format.
-    pub fn encode(&self, buf: &mut [u8], pair: bool) {
+    pub(crate) fn encode(&self, buf: &mut [u8], pair: bool) {
         let mut w = Writer::new(buf);
         match self {
             WNode::Leaf {
@@ -189,6 +213,10 @@ impl WNode {
                 w.u8(KIND_LEAF);
                 // A leaf never exceeds the per-block fanout, which is far
                 // below u16::MAX for any supported block size.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "node-kind projections, the on-disk u16 count bound (fanout << u16::MAX), and decode are documented contracts; auditors use try_decode"
+                )]
                 w.u16(usize_to_u16(recs.len()).expect("leaf record count exceeds on-disk u16"));
                 w.u16(*tombstones);
                 w.u64(*range_lo);
@@ -206,6 +234,10 @@ impl WNode {
                 w.u8(KIND_INTERNAL);
                 // Internal fanout is bounded by the block size, well under
                 // the on-disk u16 count field.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "node-kind projections, the on-disk u16 count bound (fanout << u16::MAX), and decode are documented contracts; auditors use try_decode"
+                )]
                 w.u16(
                     usize_to_u16(entries.len()).expect("internal entry count exceeds on-disk u16"),
                 );
@@ -224,9 +256,13 @@ impl WNode {
     /// # Panics
     /// Panics on bytes that do not decode as a node; auditors use
     /// [`WNode::try_decode`] instead.
-    pub fn decode(buf: &[u8], pair: bool) -> Self {
+    pub(crate) fn decode(buf: &[u8], pair: bool) -> Self {
         match Self::try_decode(buf, pair) {
             Ok(node) => node,
+            #[expect(
+                clippy::panic,
+                reason = "node-kind projections, the on-disk u16 count bound (fanout << u16::MAX), and decode are documented contracts; auditors use try_decode"
+            )]
             Err(e) => panic!("corrupt W-BOX node: {e}"),
         }
     }
@@ -234,7 +270,7 @@ impl WNode {
     /// Deserialize from a block buffer without panicking: structural
     /// problems (unknown kind byte, an entry count that overruns the block)
     /// come back as a description instead.
-    pub fn try_decode(buf: &[u8], pair: bool) -> Result<Self, String> {
+    pub(crate) fn try_decode(buf: &[u8], pair: bool) -> Result<Self, String> {
         if buf.len() < INTERNAL_HEADER {
             return Err(format!(
                 "{}-byte block is smaller than a node header",

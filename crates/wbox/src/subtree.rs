@@ -37,6 +37,10 @@ impl WBox {
         self.journaled(|t| t.insert_subtree_impl(lid_old, partner_of.len(), Some(partner_of)))
     }
 
+    #[expect(
+        clippy::as_conversions,
+        reason = "weight/size deltas are +/-(subtree count) which fits i64; positions are fanout-bounded"
+    )]
     fn insert_subtree_impl(
         &mut self,
         lid_old: Lid,
@@ -65,8 +69,16 @@ impl WBox {
         let (path, v_idx) = loop {
             let leaf_id = self.lidf_ref().read(lid_old).block;
             let leaf = self.read_node(leaf_id);
+            #[expect(
+                clippy::as_conversions,
+                reason = "weight/size deltas are +/-(subtree count) which fits i64; positions are fanout-bounded"
+            )]
             let label = leaf.range_lo() + leaf.position_of_lid(lid_old) as u64;
             let path = self.descend(label);
+            #[expect(
+                clippy::as_conversions,
+                reason = "weight/size deltas are +/-(subtree count) which fits i64; positions are fanout-bounded"
+            )]
             if path[0].node.weight() + n_tags as u64 >= self.config().max_weight(path[0].level) {
                 let step = &path[0];
                 self.grow_root_for_bulk(step);
@@ -75,6 +87,10 @@ impl WBox {
             // Longest prefix of fitting ancestors; v must be internal.
             let mut v_idx = 0;
             for (j, step) in path.iter().enumerate() {
+                #[expect(
+                    clippy::as_conversions,
+                    reason = "weight/size deltas are +/-(subtree count) which fits i64; positions are fanout-bounded"
+                )]
                 if step.node.is_leaf()
                     || step.node.weight() + n_tags as u64 >= self.config().max_weight(step.level)
                 {
@@ -89,6 +105,10 @@ impl WBox {
         let v_id = v.id;
         let v_level = v.level;
         let v_lo = v.range_lo;
+        #[expect(
+            clippy::expect_used,
+            reason = "descent invariants: paths reach a leaf and sibling entries exist at the recorded positions"
+        )]
         let u_id = path.last().expect("leaf step").id;
 
         // Allocate LIDF records for the new labels (block pointers are set
@@ -166,6 +186,10 @@ impl WBox {
             self.pager().free(id);
         }
         self.build_at_level(units, v_level, v_id, v_lo);
+        #[expect(
+            clippy::as_conversions,
+            reason = "weight/size deltas are +/-(subtree count) which fits i64; positions are fanout-bounded"
+        )]
         self.add_live(n_tags as i64);
 
         // Ancestors above v absorb the added weight.
@@ -191,6 +215,10 @@ impl WBox {
         self.journaled(|t| t.delete_subtree_impl(start_lid, end_lid));
     }
 
+    #[expect(
+        clippy::as_conversions,
+        reason = "weight/size deltas are +/-(subtree count) which fits i64; positions are fanout-bounded"
+    )]
     fn delete_subtree_impl(&mut self, start_lid: Lid, end_lid: Lid) {
         let l_s = self.lookup(start_lid);
         let l_e = self.lookup(end_lid);
@@ -199,6 +227,10 @@ impl WBox {
 
         // Lowest common ancestor: the deepest path node whose range also
         // covers l_e.
+        #[expect(
+            clippy::expect_used,
+            reason = "descent invariants: paths reach a leaf and sibling entries exist at the recorded positions"
+        )]
         let lca_idx = (0..path.len())
             .rev()
             .find(|&j| {
@@ -233,6 +265,7 @@ impl WBox {
             v_id,
             &mut |this, id, node| {
                 let lo = node.range_lo();
+                #[expect(clippy::as_conversions, reason = "weight/size deltas are +/-(subtree count) which fits i64; positions are fanout-bounded")]
                 let n = node.recs().len() as u64;
                 if lo > l_e || lo + n <= l_s || n == 0 {
                     units.push(keep_unit(id, node));
@@ -243,6 +276,7 @@ impl WBox {
                     .iter()
                     .enumerate()
                     .filter_map(|(i, r)| {
+                        #[expect(clippy::as_conversions, reason = "weight/size deltas are +/-(subtree count) which fits i64; positions are fanout-bounded")]
                         let label = lo + i as u64;
                         if label >= l_s && label <= l_e {
                             doomed_lids.push(r.lid);
@@ -271,6 +305,10 @@ impl WBox {
         }
         debug_assert_eq!(doomed_lids.len() as u64, live_deleted);
         self.lidf().free_batch(doomed_lids);
+        #[expect(
+            clippy::as_conversions,
+            reason = "weight/size deltas are +/-(subtree count) which fits i64; positions are fanout-bounded"
+        )]
         self.add_live(-(live_deleted as i64));
 
         let mut dropped = Vec::new();
@@ -348,6 +386,10 @@ impl WBox {
         (live, weight)
     }
 
+    #[expect(
+        clippy::as_conversions,
+        reason = "weight/size deltas are +/-(subtree count) which fits i64; positions are fanout-bounded"
+    )]
     fn count_range_rec(&self, id: BlockId, l_s: u64, l_e: u64, live: &mut u64, weight: &mut u64) {
         match self.read_node(id) {
             WNode::Leaf {
@@ -355,6 +397,10 @@ impl WBox {
                 tombstones,
                 recs,
             } => {
+                #[expect(
+                    clippy::as_conversions,
+                    reason = "weight/size deltas are +/-(subtree count) which fits i64; positions are fanout-bounded"
+                )]
                 let n = recs.len() as u64;
                 if range_lo > l_e || range_lo + n <= l_s {
                     return;
@@ -394,6 +440,10 @@ fn explode_leaf(node: WNode) -> (u64, u16, Vec<LeafRecord>) {
             tombstones,
             recs,
         } => (range_lo, tombstones, recs),
+        #[expect(
+            clippy::panic,
+            reason = "descent invariants: paths reach a leaf and sibling entries exist at the recorded positions"
+        )]
         _ => panic!("expected a leaf"),
     }
 }
@@ -418,6 +468,10 @@ fn normalize_units(
         // The merged *weight* (live + tombstones) must stay within the
         // 2k − 1 bound; split evenly (records and tombstone counts both)
         // when it does not.
+        #[expect(
+            clippy::as_conversions,
+            reason = "weight/size deltas are +/-(subtree count) which fits i64; positions are fanout-bounded"
+        )]
         if recs.len() + tombstones as usize <= cap {
             out.push(LeafUnit {
                 block: None,
@@ -445,11 +499,19 @@ fn normalize_units(
             dropped.extend(unit.block);
             continue;
         }
+        #[expect(
+            clippy::as_conversions,
+            reason = "weight/size deltas are +/-(subtree count) which fits i64; positions are fanout-bounded"
+        )]
         let fine = unit.weight() > min_excl && unit.weight() <= cap as u64;
         if fine || out.is_empty() {
             out.push(unit);
             continue;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "descent invariants: paths reach a leaf and sibling entries exist at the recorded positions"
+        )]
         let prev = out.pop().expect("checked non-empty");
         merge(prev, unit, &mut out, dropped);
     }

@@ -245,6 +245,10 @@ impl WBox {
         self.deletions_since_rebuild = 0;
     }
 
+    #[expect(
+        clippy::as_conversions,
+        reason = "effect algebra (x as i64 + delta) on counters kept in [0, 2^63); subrange/count fields are fanout-bounded"
+    )]
     pub(crate) fn add_live(&mut self, delta: i64) {
         self.live = (self.live as i64 + delta) as u64;
     }
@@ -274,7 +278,15 @@ impl WBox {
     pub fn leaf_extent(&self, lid: Lid) -> (u64, u64) {
         let leaf_id = self.lidf.read(lid).block;
         let leaf = self.read_node(leaf_id);
+        #[expect(
+            clippy::as_conversions,
+            reason = "effect algebra (x as i64 + delta) on counters kept in [0, 2^63); subrange/count fields are fanout-bounded"
+        )]
         let label = leaf.range_lo() + leaf.position_of_lid(lid) as u64;
+        #[expect(
+            clippy::as_conversions,
+            reason = "effect algebra (x as i64 + delta) on counters kept in [0, 2^63); subrange/count fields are fanout-bounded"
+        )]
         let max = leaf.range_lo() + leaf.recs().len() as u64 - 1;
         (label, max)
     }
@@ -290,6 +302,10 @@ impl WBox {
 
     /// Label of `lid`: one LIDF I/O plus **one** index I/O (Theorem 4.5).
     /// The leaf-ordinal rule makes the label `range_lo + position`.
+    #[expect(
+        clippy::as_conversions,
+        reason = "effect algebra (x as i64 + delta) on counters kept in [0, 2^63); subrange/count fields are fanout-bounded"
+    )]
     pub fn lookup(&self, lid: Lid) -> u64 {
         let _span = OpSpan::op(&self.pager, self.trace_tag(), "lookup");
         let leaf_id = self.lidf.read(lid).block;
@@ -346,14 +362,20 @@ impl WBox {
                 return steps;
             }
             let len = self.config.range_len(level - 1);
+            #[expect(clippy::panic, reason = "descent meets the root and leaf positions come from position_of_lid on the same leaf")]
             let pos = node
                 .entries()
                 .iter()
                 .position(|e| {
+                    #[expect(clippy::as_conversions, reason = "effect algebra (x as i64 + delta) on counters kept in [0, 2^63); subrange/count fields are fanout-bounded")]
                     let start = lo + e.subrange as u64 * len;
                     label >= start && label < start + len
                 })
                 .unwrap_or_else(|| panic!("label {label} not covered at level {level}"));
+            #[expect(
+                clippy::as_conversions,
+                reason = "effect algebra (x as i64 + delta) on counters kept in [0, 2^63); subrange/count fields are fanout-bounded"
+            )]
             let sub = node.entries()[pos].subrange as u64;
             let child = node.entries()[pos].child;
             steps.push(PathStep {
@@ -414,6 +436,10 @@ impl WBox {
         // the descent path, split violators top-down, then place the record
         // and charge one weight unit along the final path.
         let mut path = {
+            #[expect(
+                clippy::as_conversions,
+                reason = "effect algebra (x as i64 + delta) on counters kept in [0, 2^63); subrange/count fields are fanout-bounded"
+            )]
             let label = leaf.range_lo() + leaf.position_of_lid(lid_old) as u64;
             self.descend(label)
         };
@@ -432,11 +458,19 @@ impl WBox {
             // Splits relabel; re-locate the anchor and re-descend.
             let leaf_id = self.lidf.read(lid_old).block;
             let leaf = self.read_node(leaf_id);
+            #[expect(
+                clippy::as_conversions,
+                reason = "effect algebra (x as i64 + delta) on counters kept in [0, 2^63); subrange/count fields are fanout-bounded"
+            )]
             let label = leaf.range_lo() + leaf.position_of_lid(lid_old) as u64;
             path = self.descend(label);
         }
 
         // Charge the insertion to every node on the path and place it.
+        #[expect(
+            clippy::expect_used,
+            reason = "descent meets the root and leaf positions come from position_of_lid on the same leaf"
+        )]
         let leaf_step = path.pop().expect("descent reaches a leaf");
         for step in &mut path {
             let e = &mut step.node.entries_mut()[step.child_pos];
@@ -465,6 +499,10 @@ impl WBox {
         self.write_leaf_after_shift(leaf_id, &leaf, pos);
         if self.config.ordinal {
             // Size fields still count live records: charge the path.
+            #[expect(
+                clippy::as_conversions,
+                reason = "effect algebra (x as i64 + delta) on counters kept in [0, 2^63); subrange/count fields are fanout-bounded"
+            )]
             let label = leaf.range_lo() + pos as u64;
             self.bump_sizes_by_label(label, 1);
         }
@@ -489,6 +527,10 @@ impl WBox {
 
     /// Add `delta` to the size fields along the path to `label` (internal
     /// nodes only) — the ordinal-mode maintenance cost.
+    #[expect(
+        clippy::as_conversions,
+        reason = "effect algebra (x as i64 + delta) on counters kept in [0, 2^63); subrange/count fields are fanout-bounded"
+    )]
     pub(crate) fn bump_sizes_by_label(&mut self, label: u64, delta: i64) {
         let mut path = self.descend(label);
         path.pop(); // leaf sizes are implicit
@@ -527,6 +569,10 @@ impl WBox {
     /// `parent`, assigning subranges per §4: use an adjacent free subrange
     /// if one exists, otherwise respace all of the parent's children and
     /// relabel the parent's entire subtree.
+    #[expect(
+        clippy::as_conversions,
+        reason = "effect algebra (x as i64 + delta) on counters kept in [0, 2^63); subrange/count fields are fanout-bounded"
+    )]
     fn split(&mut self, parent: &PathStep, victim: &PathStep) {
         let _phase = OpSpan::phase(&self.pager, "split");
         let level = victim.level;
@@ -548,6 +594,10 @@ impl WBox {
                 recs,
             } => {
                 debug_assert_eq!(*tombstones, 0, "leaves only grow tombstone-free");
+                #[expect(
+                    clippy::as_conversions,
+                    reason = "effect algebra (x as i64 + delta) on counters kept in [0, 2^63); subrange/count fields are fanout-bounded"
+                )]
                 let m = (budget as usize).min(recs.len() - 1);
                 (
                     WNode::Leaf {
@@ -560,6 +610,10 @@ impl WBox {
                         // range_lo + m .. — record that base so every write
                         // of this node stays label-accurate and the later
                         // relabel can tell whether labels really change.
+                        #[expect(
+                            clippy::as_conversions,
+                            reason = "effect algebra (x as i64 + delta) on counters kept in [0, 2^63); subrange/count fields are fanout-bounded"
+                        )]
                         range_lo: *range_lo + m as u64,
                         tombstones: 0,
                         recs: recs[m..].to_vec(),
@@ -595,7 +649,15 @@ impl WBox {
                 && (s as u64) < self.config.b as u64
                 && p.entries().iter().any(|e| e.subrange as i64 == s)
         };
+        #[expect(
+            clippy::as_conversions,
+            reason = "effect algebra (x as i64 + delta) on counters kept in [0, 2^63); subrange/count fields are fanout-bounded"
+        )]
         let right_free = (j as i64 + 1) < self.config.b as i64 && !has_sub(&pnode, j as i64 + 1);
+        #[expect(
+            clippy::as_conversions,
+            reason = "effect algebra (x as i64 + delta) on counters kept in [0, 2^63); subrange/count fields are fanout-bounded"
+        )]
         let left_free = j > 0 && !has_sub(&pnode, j as i64 - 1);
 
         if right_free || left_free {
@@ -609,6 +671,10 @@ impl WBox {
             let (kw, ks) = (keep.weight(), keep.size());
             let (mw, ms) = (moved.weight(), moved.size());
 
+            #[expect(
+                clippy::as_conversions,
+                reason = "effect algebra (x as i64 + delta) on counters kept in [0, 2^63); subrange/count fields are fanout-bounded"
+            )]
             let moved_lo = parent.range_lo + moved_sub as u64 * self.config.range_len(level);
             if moved.is_leaf() {
                 // Pair mode: relocated records' partners must learn the new
@@ -718,6 +784,10 @@ impl WBox {
             }
             self.write_node(parent_id, &pnode);
             for e in pnode.entries().clone() {
+                #[expect(
+                    clippy::as_conversions,
+                    reason = "effect algebra (x as i64 + delta) on counters kept in [0, 2^63); subrange/count fields are fanout-bounded"
+                )]
                 let lo = parent.range_lo + e.subrange as u64 * len;
                 self.relabel_subtree(e.child, level, lo);
             }
@@ -727,6 +797,10 @@ impl WBox {
     /// Rebase the label range of a whole subtree: children are respaced to
     /// equally spaced subranges and every leaf's `range_lo` is rewritten.
     /// Leaves keep their blocks, so no LIDF maintenance is needed here.
+    #[expect(
+        clippy::as_conversions,
+        reason = "effect algebra (x as i64 + delta) on counters kept in [0, 2^63); subrange/count fields are fanout-bounded"
+    )]
     pub(crate) fn relabel_subtree(&mut self, id: BlockId, level: usize, new_lo: u64) {
         let _phase = OpSpan::phase(&self.pager, "relabel");
         self.note_relabel(new_lo, new_lo + self.config.range_len(level) - 1);
@@ -748,6 +822,10 @@ impl WBox {
                 for (t, e) in entries.iter_mut().enumerate() {
                     e.subrange = (t * self.config.b / c) as u16;
                 }
+                #[expect(
+                    clippy::as_conversions,
+                    reason = "effect algebra (x as i64 + delta) on counters kept in [0, 2^63); subrange/count fields are fanout-bounded"
+                )]
                 let plan: Vec<(BlockId, u64)> = entries
                     .iter()
                     .map(|e| (e.child, new_lo + e.subrange as u64 * len))
@@ -784,6 +862,10 @@ impl WBox {
         let leaf_id = self.lidf.read(lid).block;
         let mut leaf = self.read_node(leaf_id);
         let pos = leaf.position_of_lid(lid);
+        #[expect(
+            clippy::as_conversions,
+            reason = "effect algebra (x as i64 + delta) on counters kept in [0, 2^63); subrange/count fields are fanout-bounded"
+        )]
         let label = leaf.range_lo() + pos as u64;
         leaf.recs_mut().remove(pos);
         if let WNode::Leaf { tombstones, .. } = &mut leaf {
@@ -810,6 +892,10 @@ impl WBox {
 
     /// All live LIDs in document order. Test/bulk support.
     pub fn iter_lids(&self) -> Vec<Lid> {
+        #[expect(
+            clippy::as_conversions,
+            reason = "effect algebra (x as i64 + delta) on counters kept in [0, 2^63); subrange/count fields are fanout-bounded"
+        )]
         let mut out = Vec::with_capacity(self.live as usize);
         self.collect_lids(self.root, &mut out);
         out

@@ -162,6 +162,10 @@ impl XmlTree {
     /// This is the tree-level equivalent of the paper's
     /// `insert-element-before(start-lid)`.
     pub fn insert_before(&mut self, sibling: ElementId, tag: impl Into<String>) -> ElementId {
+        #[expect(
+            clippy::expect_used,
+            reason = "root-removal/orphan-child panics are the documented XmlTree contract (see # Panics-style doc comments)"
+        )]
         let parent = self
             .parent(sibling)
             .expect("cannot insert a sibling of the root");
@@ -173,6 +177,10 @@ impl XmlTree {
 
     /// Position of `child` within `parent`'s child list.
     pub fn child_position(&self, parent: ElementId, child: ElementId) -> usize {
+        #[expect(
+            clippy::expect_used,
+            reason = "root-removal/orphan-child panics are the documented XmlTree contract (see # Panics-style doc comments)"
+        )]
         self.elem(parent)
             .children
             .iter()
@@ -183,6 +191,10 @@ impl XmlTree {
     /// Remove an element and its whole subtree. Returns the ids removed, in
     /// document order. The root cannot be removed.
     pub fn remove_subtree(&mut self, id: ElementId) -> Vec<ElementId> {
+        #[expect(
+            clippy::expect_used,
+            reason = "root-removal/orphan-child panics are the documented XmlTree contract (see # Panics-style doc comments)"
+        )]
         let parent = self.parent(id).expect("cannot remove the root");
         let pos = self.child_position(parent, id);
         self.elem_mut(parent).children.remove(pos);
@@ -205,6 +217,10 @@ impl XmlTree {
     /// child list (the paper's `delete` semantics: "children of e, if any,
     /// effectively become children of e's parent").
     pub fn remove_element(&mut self, id: ElementId) {
+        #[expect(
+            clippy::expect_used,
+            reason = "root-removal/orphan-child panics are the documented XmlTree contract (see # Panics-style doc comments)"
+        )]
         let parent = self.parent(id).expect("cannot remove the root");
         let pos = self.child_position(parent, id);
         let children = std::mem::take(&mut self.elem_mut(id).children);

@@ -183,6 +183,10 @@ pub fn document_order(doc: &XmlTree, measure_after: usize) -> UpdateStream {
     let base = XmlTree::new(doc.tag(doc.root()));
     let mut ops = Vec::with_capacity(order.len().saturating_sub(1));
     for (i, &e) in order.iter().enumerate().skip(1) {
+        #[expect(
+            clippy::expect_used,
+            reason = "workload generators never pick the root as a deletion victim, so parent() is Some"
+        )]
         let parent = doc.parent(e).expect("non-root element has a parent");
         let parent_ref = ref_of[index_of[&parent]];
         debug_assert_ne!(parent_ref, usize::MAX, "parent inserted before child");

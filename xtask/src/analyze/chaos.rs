@@ -21,6 +21,11 @@
 //! Every fault plan's transcript is written to `target/chaos-transcript.txt`
 //! so a failing seed can be replayed from the exact fault history.
 
+#![allow(
+    clippy::let_underscore_must_use,
+    reason = "transcript writes into a String cannot fail"
+)]
+
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::path::Path;

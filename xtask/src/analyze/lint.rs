@@ -1,49 +1,43 @@
 //! The source-lint step: drive `boxes-lint` over the workspace, print
 //! human diagnostics, and drop the JSON artifacts in
-//! `target/lint-report.json`, `target/sync-readiness.json`, and
-//! `target/lock-order.json`.
+//! `target/lint-report.json` and `target/lock-order.json`.
 
 use std::path::Path;
 use std::time::Instant;
 
 use boxes_lint::report::Outcome;
 
-/// Run the BX001–BX020 catalog against the `lint.toml` baseline. Prints
-/// every unsuppressed finding, stale suppression/ratchet, and budget
-/// violation; returns whether the gate is clean. Also writes the lint
-/// report (with pass and lock-analysis runtimes), the BX011
-/// concurrency-readiness inventory, and the BX015 lock-order graph.
+/// Run the BX rule catalog against the `lint.toml` baseline and count the
+/// `#[expect]` suppressions against its budget. Prints every unsuppressed
+/// finding, stale suppression, and budget violation; returns whether the
+/// gate is clean. Also writes the lint report (with the pass runtime) and
+/// the BX015 lock-order graph.
 pub(crate) fn run(root: &Path) -> bool {
     let start = Instant::now();
     let Some(mut outcome) = lint_workspace(root) else {
         return false;
     };
     outcome.lint_pass_ms = start.elapsed().as_millis();
-    write_analysis_artifacts(root, &mut outcome);
-    write_json_report(root, &outcome);
+    write_artifact(root, "lint-report.json", &outcome.to_json());
+    write_artifact(root, "lock-order.json", &outcome.lock_order_json);
     for d in &outcome.unsuppressed {
         eprintln!("  {}", d.human());
     }
     for stale in &outcome.stale_allows {
         eprintln!("  {stale}");
     }
-    for stale in &outcome.stale_ratchets {
-        eprintln!("  {stale}");
-    }
     for violation in &outcome.budget_violations {
         eprintln!("  {violation}");
     }
     println!(
-        "  lint: {} file(s), {} finding(s) baselined, {} ratcheted, {} unsuppressed, \
-         {} stale suppression(s), {} stale ratchet(s), {} ms (+{} ms lock analysis)",
+        "  lint: {} file(s), {} finding(s) baselined, {} #[expect] lint(s), \
+         {} unsuppressed, {} stale suppression(s), {} ms",
         outcome.files_scanned,
         outcome.suppressed.len(),
-        outcome.ratcheted.len(),
+        outcome.expectations,
         outcome.unsuppressed.len(),
         outcome.stale_allows.len(),
-        outcome.stale_ratchets.len(),
         outcome.lint_pass_ms,
-        outcome.lock_analysis_ms
     );
     outcome.is_clean()
 }
@@ -111,40 +105,14 @@ fn lint_workspace(root: &Path) -> Option<Outcome> {
     }
 }
 
-fn write_json_report(root: &Path, outcome: &Outcome) {
+fn write_artifact(root: &Path, name: &str, contents: &str) {
     let dir = root.join("target");
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("  lint: cannot create {}: {e}", dir.display());
         return;
     }
-    let path = dir.join("lint-report.json");
-    if let Err(e) = std::fs::write(&path, outcome.to_json()) {
-        eprintln!("  lint: cannot write {}: {e}", path.display());
-    }
-}
-
-/// Write `target/sync-readiness.json` (the shared-state inventory with
-/// reaching public APIs) and `target/lock-order.json` (the witnessed
-/// lock-order graph BX015 checks for cycles). Records the lock-analysis
-/// wall-clock on the outcome so lint-report.json tracks its cost.
-fn write_analysis_artifacts(root: &Path, outcome: &mut Outcome) {
-    let analysis = match boxes_lint::analyze_workspace(root) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("  lint: workspace analysis for artifacts failed: {e}");
-            return;
-        }
-    };
-    let target = root.join("target");
-    let path = target.join("sync-readiness.json");
-    if let Err(e) = std::fs::write(&path, analysis.sync_readiness_json()) {
-        eprintln!("  lint: cannot write {}: {e}", path.display());
-    }
-    let start = Instant::now();
-    let lock_order = analysis.lock_order_json();
-    outcome.lock_analysis_ms = start.elapsed().as_millis();
-    let path = target.join("lock-order.json");
-    if let Err(e) = std::fs::write(&path, lock_order) {
+    let path = dir.join(name);
+    if let Err(e) = std::fs::write(&path, contents) {
         eprintln!("  lint: cannot write {}: {e}", path.display());
     }
 }

@@ -1,8 +1,9 @@
 //! The `analyze` command: orchestration of the workspace static-analysis
 //! gate. The individual passes live in the submodules —
 //! [`sweeps`] (crate-root attribute audits), [`lint`] (the `boxes-lint`
-//! source analyzer), [`semantic`] (auditor-driven workload replay),
-//! [`crash`] (WAL crash-injection sweeps with recovery verification),
+//! source analyzer and the `#[expect]` budget), [`semantic`]
+//! (auditor-driven workload replay), [`crash`] (WAL crash-injection
+//! sweeps with recovery verification),
 //! [`chaos`] (seeded faulty-disk sweeps: retry, read-repair, degraded
 //! mode), [`sessions`] (concurrent snapshot-reader stress plus the
 //! `session-report.json` artifact), and [`profile`] (trace-attribution
@@ -103,6 +104,7 @@ pub(crate) fn analyze(args: &[String]) -> i32 {
     }
     step("unsafe-code audit", sweeps::audit_unsafe(&root));
     step("missing_docs sweep", sweeps::audit_missing_docs(&root));
+    step("lint policy audit", sweeps::audit_lint_policy(&root));
     step("source lint", lint::run(&root));
     step("semantic lint", semantic::semantic_lint(seed));
     step("crash recovery", crash::crash_recovery_lint(seed));
@@ -124,24 +126,42 @@ fn run_fmt_check(root: &Path) -> bool {
     run_cargo(root, &["fmt", "--all", "--check"])
 }
 
+/// Clippy in two passes over the same targets `--all-targets` covers. Non-test
+/// code (`--lib --bins`) runs under the workspace lint policy; test, bench and
+/// example targets run with every policy lint allowed, since tests may
+/// unwrap, cast and touch files freely.
 fn run_clippy(root: &Path) -> bool {
-    run_cargo(
-        root,
-        &[
-            "clippy",
-            "--workspace",
-            "--all-targets",
-            "--",
-            "-D",
-            "warnings",
-            "-D",
-            "clippy::dbg_macro",
-            "-D",
-            "clippy::todo",
-            "-D",
-            "clippy::unimplemented",
-        ],
-    )
+    const DENY: [&str; 8] = [
+        "-D",
+        "warnings",
+        "-D",
+        "clippy::dbg_macro",
+        "-D",
+        "clippy::todo",
+        "-D",
+        "clippy::unimplemented",
+    ];
+    let Some(policy) = sweeps::policy_lints(root) else {
+        eprintln!("analyze: no [workspace.lints] policy in Cargo.toml");
+        return false;
+    };
+    let mut lib_args = vec!["clippy", "--workspace", "--lib", "--bins", "--"];
+    lib_args.extend(DENY);
+    let non_test = run_cargo(root, &lib_args);
+    let mut test_args = vec![
+        "clippy",
+        "--workspace",
+        "--tests",
+        "--benches",
+        "--examples",
+        "--",
+    ];
+    test_args.extend(DENY);
+    for (lint, _) in &policy {
+        test_args.extend(["-A", lint.as_str()]);
+    }
+    let tests = run_cargo(root, &test_args);
+    non_test && tests
 }
 
 fn run_cargo(root: &Path, args: &[&str]) -> bool {

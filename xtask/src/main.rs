@@ -6,19 +6,26 @@
 //! gate. It runs, in order,
 //!
 //! 1. `cargo fmt --all --check`;
-//! 2. a curated `cargo clippy` pass with `-D warnings` plus a few
-//!    deny-listed lints (`dbg_macro`, `todo`, `unimplemented`);
+//! 2. `cargo clippy` with `-D warnings` plus a few deny-listed lints
+//!    (`dbg_macro`, `todo`, `unimplemented`), in two passes over the
+//!    targets `--all-targets` covers: `--lib --bins` under the workspace
+//!    lint policy (`[workspace.lints]` in `Cargo.toml` plus `clippy.toml`),
+//!    then `--tests --benches --examples` with every policy lint allowed;
 //! 3. an unsafe-code audit: every crate root must carry
 //!    `#![forbid(unsafe_code)]` and no source file may contain an `unsafe`
 //!    token outside comments;
 //! 4. a `missing_docs` sweep: every crate root must carry
-//!    `#![warn(missing_docs)]`;
-//! 5. the **source lint**: the `boxes-lint` BX001–BX020 rule catalog
-//!    (pager I/O discipline, filesystem containment, panic freedom, cast
-//!    safety, `#[must_use]` reports, public-item docs, lock discipline,
-//!    durable-file discipline) over every crate,
-//!    against the checked-in `lint.toml` baseline. The JSON report lands in
-//!    `target/lint-report.json`. `--lint-only` runs just this step;
+//!    `#![warn(missing_docs)]`; then a lint policy audit: every lint a
+//!    non-test `#[expect]` names must be switched on by `[workspace.lints]`
+//!    (an expectation switches its own lint on, so clippy cannot see a
+//!    policy lint go missing);
+//! 5. the **source lint**: the `boxes-lint` rule catalog (pager I/O
+//!    discipline direct and transitive, swallowed I/O errors, span
+//!    placement, lock discipline, durable-file discipline) over every
+//!    crate, against the checked-in `lint.toml` baseline, with the
+//!    `#[expect]` suppressions counted against its budget. The JSON report
+//!    lands in `target/lint-report.json`, the lock-order graph in
+//!    `target/lock-order.json`. `--lint-only` runs just this step;
 //!    `--baseline` prints suggested suppression entries for the current
 //!    unsuppressed findings.
 //! 6. a **semantic lint**: the [`boxes_audit::Auditable`] auditors are run
